@@ -258,6 +258,22 @@ def _build_detector(values: dict, b: float) -> DetectorConfig:
     )
 
 
+def _build_plan(values: dict, target: float) -> McPlan:
+    """No-change Monte Carlo plan for calibrating to a target run length.
+
+    The cap defaults to 20x the target; the detector's b is a warm start that
+    calibration replaces.
+    """
+    cap = values["cap"] if values["cap"] is not None else max(10, math.ceil(20 * target))
+    return McPlan(
+        scenario=_build_scenario(values, tau=None, horizon=cap),
+        detector=_build_detector(values, b=max(math.log(max(target, 2.0)), 0.1)),
+        replications=values["reps"],
+        cap=cap,
+        master_seed=values["seed"],
+    )
+
+
 def _cmd_simulate(ns: argparse.Namespace) -> int:
     v = _resolve(ns, _SIMULATE_OPTS)
     scenario = _build_scenario(v, tau=v["tau"], horizon=v["horizon"])
@@ -281,16 +297,7 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
 def _cmd_calibrate(ns: argparse.Namespace) -> int:
     v = _resolve(ns, _CALIBRATE_OPTS)
     target = v["target"]
-    cap = v["cap"] if v["cap"] is not None else max(10, math.ceil(20 * target))
-    scenario = _build_scenario(v, tau=None, horizon=cap)
-    detector = _build_detector(v, b=max(math.log(max(target, 2.0)), 0.1))
-    plan = McPlan(
-        scenario=scenario,
-        detector=detector,
-        replications=v["reps"],
-        cap=cap,
-        master_seed=v["seed"],
-    )
+    plan = _build_plan(v, target)
     b = calibrate_threshold(plan, target, v["rel_tol"], v["workers"])
     write_report(
         {
@@ -298,7 +305,7 @@ def _cmd_calibrate(ns: argparse.Namespace) -> int:
             "b": b,
             "method": v["method"],
             "replications": v["reps"],
-            "cap": cap,
+            "cap": plan.cap,
         },
         _out_or_stdout(v),
     )
@@ -317,17 +324,7 @@ def _cmd_theory(ns: argparse.Namespace) -> int:
 def _cmd_bench(ns: argparse.Namespace) -> int:
     v = _resolve(ns, _BENCH_OPTS)
     gammas = v["gammas"]
-    cap = v["cap"] if v["cap"] is not None else max(10, math.ceil(20 * max(gammas)))
-    scenario = _build_scenario(v, tau=None, horizon=cap)
-    detector = _build_detector(v, b=max(math.log(max(gammas)), 0.1))
-    plan = McPlan(
-        scenario=scenario,
-        detector=detector,
-        replications=v["reps"],
-        cap=cap,
-        master_seed=v["seed"],
-    )
-    rows = oc_curve(plan, gammas, v["rel_tol"], v["workers"])
+    rows = oc_curve(_build_plan(v, max(gammas)), gammas, v["rel_tol"], v["workers"])
     write_oc(rows, _out_or_stdout(v))
     return 0
 
@@ -376,10 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValidityError, CalibrationError, StreamFormatError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -21,8 +21,7 @@ scored index plus w.
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable
 
@@ -147,17 +146,6 @@ class DetectorConfig:
             raise ValueError("drift d must be positive")
 
 
-@dataclass
-class DetectorState:
-    """Mutable state of an in-progress detector run."""
-
-    statistic: float = 0.0
-    time: int = 0
-    pending: WindowBuffer | None = None
-    stopped: bool = False
-    stop_time: int | None = None
-
-
 @dataclass(frozen=True)
 class DetectionResult:
     """Outcome of one run: wall-clock stop time (None if no alarm within the
@@ -173,57 +161,44 @@ def run_detector(stream, config: DetectorConfig, horizon: int | None = None) -> 
 
     The stream may be any iterable of snapshots; at most `horizon` snapshots
     are consumed when given. Spectral/top1 runs shorter than w+1 snapshots
-    score nothing and return an empty trajectory with no alarm.
+    score nothing and return an empty trajectory with no alarm. A non-finite
+    increment raises ValueError: it would stop the statistic from alarming.
     """
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
     if config.method in (SPECTRAL, TOP1) and horizon is not None and horizon <= config.w:
         raise ValueError(f"horizon must exceed the window length w={config.w}")
     snaps = stream if horizon is None else islice(stream, horizon)
-    if config.method == EXACT:
-        return _run_exact(snaps, config)
-    return _run_windowed(snaps, config)
-
-
-def _run_exact(snaps, config: DetectorConfig) -> DetectionResult:
-    mm = mean_matrix(config.A)
-    mm_flat = mm.ravel()
-    offset = _trace_with_symmetric(mm, mm)
-    state = DetectorState()
+    # exact scores each snapshot on arrival; the windowed methods score the
+    # snapshot that leaves a full window against the w snapshots after it
+    lag = 0 if config.method == EXACT else config.w
+    if lag:
+        window = WindowBuffer(lag)
+    else:
+        mm = mean_matrix(config.A)
+        mm_flat = mm.ravel()
+        offset = _trace_with_symmetric(mm, mm)
+    statistic = 0.0
+    stop_time = None
     trajectory: list[tuple[int, float]] = []
     for snap in snaps:
-        inc = 2.0 * float(np.dot(snap.weights.ravel(), mm_flat)) - offset
-        state.statistic = cusum_update(state.statistic, inc)
-        state.time = snap.t
-        trajectory.append((snap.t, state.statistic))
-        if state.statistic >= config.b:
-            state.stopped = True
-            state.stop_time = snap.t
-            break
-    return DetectionResult(stop_time=state.stop_time, trajectory=trajectory, config=config)
-
-
-def _run_windowed(snaps, config: DetectorConfig) -> DetectionResult:
-    w = config.w
-    state = DetectorState(pending=WindowBuffer(w))
-    held: deque[GraphSnapshot] = deque()
-    trajectory: list[tuple[int, float]] = []
-    for snap in snaps:
-        held.append(snap)
-        state.pending.push(snap)
-        if not state.pending.full or len(held) < w + 1:
-            continue
-        g = held.popleft()
-        est = estimate_subspace(state.pending, config.m)
-        if config.method == TOP1:
-            inc = top1_increment(g, est.eigenvectors[:, 0], config.d)
+        if lag:
+            g = window.push(snap)
+            if g is None:
+                continue
+            est = estimate_subspace(window, config.m)
+            if config.method == TOP1:
+                inc = top1_increment(g, est.eigenvectors[:, 0], config.d)
+            else:
+                inc = spectral_increment(g, projector(est), config.d)
         else:
-            inc = spectral_increment(g, projector(est), config.d)
-        state.statistic = cusum_update(state.statistic, inc)
-        state.time = g.t
-        trajectory.append((g.t, state.statistic))
-        if state.statistic >= config.b:
-            state.stopped = True
-            state.stop_time = g.t + w
+            g = snap
+            inc = 2.0 * float(np.dot(g.weights.ravel(), mm_flat)) - offset
+        if not math.isfinite(inc):
+            raise ValueError(f"non-finite increment {inc} at t={g.t}")
+        statistic = cusum_update(statistic, inc)
+        trajectory.append((g.t, statistic))
+        if statistic >= config.b:
+            stop_time = g.t + lag
             break
-    return DetectionResult(stop_time=state.stop_time, trajectory=trajectory, config=config)
+    return DetectionResult(stop_time=stop_time, trajectory=trajectory, config=config)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,10 +26,15 @@ class StreamFormatError(ValueError):
     """A stream, sensor, or config file does not match the documented format."""
 
 
+@contextmanager
 def _opened(path_or_file, mode):
+    """Yield a file object for a path or an open file; close only what was
+    opened here, so a caller's file stays open."""
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
-        return path_or_file, False
-    return open(path_or_file, mode), True
+        yield path_or_file
+    else:
+        with open(path_or_file, mode) as fh:
+            yield fh
 
 
 def _name_of(fh) -> str:
@@ -41,8 +47,7 @@ def write_stream(stream, path_or_file) -> int:
     Bit-symmetric snapshots are stored as their upper triangle, anything else
     as the full matrix; read_stream restores either form exactly.
     """
-    fh, close = _opened(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as fh:
         count = 0
         for snap in stream:
             w = snap.weights
@@ -55,21 +60,20 @@ def write_stream(stream, path_or_file) -> int:
             fh.write("\n")
             count += 1
         return count
-    finally:
-        if close:
-            fh.close()
 
 
 _STREAM_KEYS = {"t", "n", "tri", "full"}
 
 
 def read_stream(path_or_file) -> list[GraphSnapshot]:
-    """Read an NDJSON snapshot stream; an empty file is an empty stream."""
-    fh, close = _opened(path_or_file, "r")
-    name = _name_of(fh)
-    try:
+    """Read an NDJSON snapshot stream; an empty file is an empty stream.
+
+    Every weight must be finite (NaN, Infinity and overflowing literals such
+    as 1e999 are rejected) and "t" must increase strictly from line to line.
+    """
+    with _opened(path_or_file, "r") as fh:
+        name = _name_of(fh)
         snaps: list[GraphSnapshot] = []
-        n_seen: int | None = None
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -79,15 +83,13 @@ def read_stream(path_or_file) -> list[GraphSnapshot]:
                 raise StreamFormatError(
                     f"{name}: line {lineno}: invalid JSON ({err.msg})"
                 ) from None
-            snaps.append(_parse_snapshot(obj, name, lineno, n_seen))
-            n_seen = snaps[-1].n
+            snaps.append(_parse_snapshot(obj, name, lineno, snaps[-1] if snaps else None))
         return snaps
-    finally:
-        if close:
-            fh.close()
 
 
-def _parse_snapshot(obj, name: str, lineno: int, n_seen: int | None) -> GraphSnapshot:
+def _parse_snapshot(
+    obj, name: str, lineno: int, prev: GraphSnapshot | None
+) -> GraphSnapshot:
     def fail(msg: str):
         raise StreamFormatError(f"{name}: line {lineno}: {msg}")
 
@@ -102,8 +104,11 @@ def _parse_snapshot(obj, name: str, lineno: int, n_seen: int | None) -> GraphSna
         fail('"t" must be an integer')
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         fail('"n" must be a positive integer')
-    if n_seen is not None and n != n_seen:
-        fail(f"node count changed from {n_seen} to {n}")
+    if prev is not None:
+        if n != prev.n:
+            fail(f"node count changed from {prev.n} to {n}")
+        if t <= prev.t:
+            fail(f'"t" must increase: {t} follows {prev.t}')
     has_tri = "tri" in obj
     has_full = "full" in obj
     if has_tri == has_full:
@@ -115,8 +120,10 @@ def _parse_snapshot(obj, name: str, lineno: int, n_seen: int | None) -> GraphSna
         fail(f'"{key}" must be a list of {want} numbers for n={n}')
     try:
         arr = np.array(vals, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         fail(f'"{key}" contains a non-numeric entry')
+    if not np.isfinite(arr).all():
+        fail(f'"{key}" contains a non-finite weight')
     if has_tri:
         w = np.zeros((n, n))
         iu = np.triu_indices(n)
@@ -135,22 +142,17 @@ def write_trace(result: DetectionResult, path_or_file) -> int:
     above the threshold.
     """
     lag = 0 if result.config.method == EXACT else result.config.w
-    fh, close = _opened(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "statistic", "alarmed"])
         for scored, stat in result.trajectory:
             writer.writerow([scored + lag, repr(float(stat)), int(stat >= result.config.b)])
         return len(result.trajectory)
-    finally:
-        if close:
-            fh.close()
 
 
 def write_oc(rows, path_or_file) -> int:
     """Emit an operating-characteristic table as CSV "gamma,b,edd,se"."""
-    fh, close = _opened(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["gamma", "b", "edd", "se"])
         count = 0
@@ -160,9 +162,6 @@ def write_oc(rows, path_or_file) -> int:
             )
             count += 1
         return count
-    finally:
-        if close:
-            fh.close()
 
 
 def _jsonable(value):
@@ -181,13 +180,9 @@ def _jsonable(value):
 
 def write_report(report: dict, path_or_file) -> None:
     """Emit a report dict as indented JSON."""
-    fh, close = _opened(path_or_file, "w")
-    try:
+    with _opened(path_or_file, "w") as fh:
         json.dump(_jsonable(report), fh, indent=2)
         fh.write("\n")
-    finally:
-        if close:
-            fh.close()
 
 
 @dataclass(frozen=True)
@@ -224,9 +219,8 @@ class MultichannelSeries:
 def read_sensor_csv(path_or_file, segment: int) -> MultichannelSeries:
     """Read a sensor CSV: a header row of channel names, then one row of
     float samples per tick."""
-    fh, close = _opened(path_or_file, "r")
-    name = _name_of(fh)
-    try:
+    with _opened(path_or_file, "r") as fh:
+        name = _name_of(fh)
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -251,9 +245,6 @@ def read_sensor_csv(path_or_file, segment: int) -> MultichannelSeries:
                 ) from None
         values = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
         return MultichannelSeries(names=tuple(names), values=values, segment=segment)
-    finally:
-        if close:
-            fh.close()
 
 
 def xcorr_stream(series: MultichannelSeries) -> list[GraphSnapshot]:
@@ -297,9 +288,8 @@ def parse_config(path_or_file) -> dict[str, str]:
     rejected. Values stay strings; the CLI converts them with the same rules
     as the matching flags, and flags given on the command line win.
     """
-    fh, close = _opened(path_or_file, "r")
-    name = _name_of(fh)
-    try:
+    with _opened(path_or_file, "r") as fh:
+        name = _name_of(fh)
         out: dict[str, str] = {}
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -318,6 +308,3 @@ def parse_config(path_or_file) -> dict[str, str]:
                 raise StreamFormatError(f"{name}: line {lineno}: duplicate key {key!r}")
             out[key] = value
         return out
-    finally:
-        if close:
-            fh.close()

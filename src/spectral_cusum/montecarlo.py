@@ -14,6 +14,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -103,19 +104,24 @@ def _exact_coefficients(plan: McPlan):
     return coef, offset
 
 
-def _exact_statistics(plan: McPlan, rep: int, b: float) -> tuple[int | None, np.ndarray | None]:
-    """Alarm time of one exact-method replication, or its full statistic path.
+def _rep_path(plan: McPlan, rep: int) -> np.ndarray:
+    """Statistic path of one replication, up to and including its first
+    crossing of plan.detector.b; at b = +inf, the whole path to cap.
 
-    With a finite b the replication stops early at the alarm and returns
-    (wall-clock time, None); with b = +inf it runs to cap and returns
-    (None, statistics array) for threshold-independent caching.
+    The exact method runs the vectorized chunk engine; the others run the
+    snapshot-by-snapshot detector. Entry i is the statistic of scored index
+    i + 1, so an alarm on the last entry falls at the path's length plus lag.
     """
+    rng = rng_from_key(plan.master_seed, rep)
+    if plan.detector.method != EXACT:
+        stream = iter_stream(plan.scenario, rng=rng, horizon=plan.cap)
+        result = run_detector(stream, plan.detector, horizon=plan.cap)
+        return np.array([s for _, s in result.trajectory])
     coef, offset = _exact_coefficients(plan)
     sigma = plan.scenario.sigma
     tau = plan.scenario.tau
-    rng = rng_from_key(plan.master_seed, rep)
+    b = plan.detector.b
     cap = plan.cap
-    keep = not math.isfinite(b)
     kept: list[np.ndarray] = []
     carry = 0.0
     pos = 0
@@ -129,17 +135,14 @@ def _exact_statistics(plan: McPlan, rep: int, b: float) -> tuple[int | None, np.
             base = np.where(t_idx > tau, offset, 0.0)
         incs = 2.0 * (base + sigma * (draws @ coef)) - offset
         stats = _lindley(incs, carry)
-        if keep:
-            kept.append(stats)
-        else:
-            hit = np.nonzero(stats >= b)[0]
-            if hit.size:
-                return pos + int(hit[0]) + 1, None
+        hit = np.nonzero(stats >= b)[0]
+        if hit.size:
+            kept.append(stats[: hit[0] + 1])
+            break
+        kept.append(stats)
         carry = float(stats[-1])
         pos += k
-    if keep:
-        return None, np.concatenate(kept)
-    return None, None
+    return np.concatenate(kept)
 
 
 def _lindley(increments: np.ndarray, s0: float) -> np.ndarray:
@@ -153,49 +156,20 @@ def _lindley(increments: np.ndarray, s0: float) -> np.ndarray:
     return c + np.maximum(-np.minimum.accumulate(prefix), s0)
 
 
-def _generic_result(plan: McPlan, rep: int, b: float):
-    rng = rng_from_key(plan.master_seed, rep)
-    detector = replace(plan.detector, b=b)
-    stream = iter_stream(plan.scenario, rng=rng, horizon=plan.cap)
-    return run_detector(stream, detector, horizon=plan.cap)
-
-
-def _rep_alarm(plan: McPlan, rep: int, b: float | None = None) -> int | None:
+def _rep_alarm(plan: McPlan, rep: int) -> int | None:
     """Wall-clock alarm time of one replication (None if it hit the cap)."""
-    bb = plan.detector.b if b is None else b
-    if plan.detector.method == EXACT:
-        alarm, _ = _exact_statistics(plan, rep, bb)
-        return alarm
-    return _generic_result(plan, rep, bb).stop_time
+    path = _rep_path(plan, rep)
+    if path[-1] >= plan.detector.b:
+        return path.size + (0 if plan.detector.method == EXACT else plan.detector.w)
+    return None
 
 
-def _rep_runmax(plan: McPlan, rep: int) -> np.ndarray:
-    """Running maximum of one replication's statistic path (b-independent)."""
-    if plan.detector.method == EXACT:
-        _, stats = _exact_statistics(plan, rep, math.inf)
-        return np.maximum.accumulate(stats)
-    result = _generic_result(plan, rep, math.inf)
-    stats = np.array([s for _, s in result.trajectory])
-    return np.maximum.accumulate(stats)
-
-
-def _rep_alarm_star(args):
-    plan, rep = args
-    return _rep_alarm(plan, rep)
-
-
-def _rep_runmax_star(args):
-    plan, rep = args
-    return _rep_runmax(plan, rep)
-
-
-def _map_reps(fn_star, plan: McPlan, reps: range, workers: int) -> list:
+def _map_reps(fn, plan: McPlan, reps: range, workers: int) -> list:
     if workers <= 1:
-        return [fn_star((plan, i)) for i in reps]
-    args = [(plan, i) for i in reps]
-    chunksize = max(1, len(args) // (workers * 8))
+        return [fn(plan, i) for i in reps]
+    chunksize = max(1, len(reps) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn_star, args, chunksize=chunksize))
+        return list(pool.map(fn, repeat(plan), reps, chunksize=chunksize))
 
 
 # -- estimates ----------------------------------------------------------------
@@ -205,7 +179,7 @@ def estimate_arl(plan: McPlan, workers: int = 1) -> McEstimate:
     """Average run length: mean wall-clock alarm time with no change ever."""
     if plan.scenario.tau is not None:
         raise ValueError("ARL estimation needs a scenario with tau=None (no change)")
-    times = _map_reps(_rep_alarm_star, plan, range(plan.replications), workers)
+    times = _map_reps(_rep_alarm, plan, range(plan.replications), workers)
     return _summarize(times)
 
 
@@ -214,7 +188,7 @@ def estimate_edd(plan: McPlan, workers: int = 1) -> McEstimate:
     the start (the standard worst-case surrogate for this statistic)."""
     if plan.scenario.tau != 0:
         raise ValueError("EDD estimation needs a scenario with tau=0 (immediate change)")
-    times = _map_reps(_rep_alarm_star, plan, range(plan.replications), workers)
+    times = _map_reps(_rep_alarm, plan, range(plan.replications), workers)
     return _summarize(times)
 
 
@@ -243,7 +217,11 @@ def calibrate_threshold(
             f"{target_gamma}: need cap >= 10 * target"
         )
     lag = 0 if plan.detector.method == EXACT else plan.detector.w
-    runmaxes = _map_reps(_rep_runmax_star, plan, range(plan.replications), workers)
+    unstopped = replace(plan, detector=replace(plan.detector, b=math.inf))
+    runmaxes = [
+        np.maximum.accumulate(p, out=p)
+        for p in _map_reps(_rep_path, unstopped, range(plan.replications), workers)
+    ]
 
     def probe(b: float) -> float:
         total = 0.0
@@ -296,7 +274,7 @@ def calibrate_threshold(
         ids = range(base, base + 2 * plan.replications)
         base += 2 * plan.replications
         conf_plan = replace(plan, detector=replace(plan.detector, b=candidate))
-        times = _map_reps(_rep_alarm_star, conf_plan, ids, workers)
+        times = _map_reps(_rep_alarm, conf_plan, ids, workers)
         est = _summarize(times)
         if est.truncated / len(times) >= 0.01:
             raise CalibrationError(

@@ -27,12 +27,16 @@ class WindowBuffer:
         self.capacity = int(capacity)
         self._snaps: deque[GraphSnapshot] = deque(maxlen=self.capacity)
 
-    def push(self, snapshot: GraphSnapshot) -> None:
+    def push(self, snapshot: GraphSnapshot) -> GraphSnapshot | None:
+        """Append a snapshot; return the one it evicts from a full buffer, or
+        None while the buffer is still filling."""
         if self._snaps and snapshot.n != self._snaps[0].n:
             raise ValueError(
                 f"snapshot has n={snapshot.n}, buffer holds n={self._snaps[0].n}"
             )
+        evicted = self._snaps[0] if self.full else None
         self._snaps.append(snapshot)
+        return evicted
 
     @property
     def full(self) -> bool:

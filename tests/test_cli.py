@@ -145,6 +145,30 @@ class TestDetect:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "method_flags",
+        [["--method", "exact", "--sizes", "2,1"], ["--method", "spectral", "--m", "2", "--window", "2"]],
+    )
+    def test_non_finite_weight_is_a_format_error(self, tmp_path, capsys, method_flags):
+        stream = simulate_degenerate(tmp_path, horizon=8)
+        lines = stream.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["tri"][0] = math.nan
+        stream.write_text("\n".join([json.dumps(first)] + lines[1:]) + "\n")
+        code = main(["detect", str(stream), *method_flags, "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_increasing_time_is_a_format_error(self, tmp_path, capsys):
+        stream = simulate_degenerate(tmp_path)
+        lines = stream.read_text().splitlines()
+        stream.write_text("\n".join(lines[:3] + [lines[2]] + lines[3:]) + "\n")
+        code = main(
+            ["detect", str(stream), "--method", "exact", "--sizes", "2,1", "--out", str(tmp_path / "t.csv")]
+        )
+        assert code == 3
+        assert '"t" must increase' in capsys.readouterr().err
+
     def test_exact_method_without_sizes_is_a_usage_error(self, tmp_path, capsys):
         stream = simulate_degenerate(tmp_path)
         code = main(

@@ -1,5 +1,8 @@
 """Tests for increment definitions, the CUSUM recursion, and detector runs."""
 
+import math
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,15 +10,19 @@ from hypothesis import strategies as st
 
 from spectral_cusum import (
     EXACT,
+    IID_FULL,
     SPECTRAL,
+    SYMMETRIC,
     TOP1,
     DetectorConfig,
+    GraphSnapshot,
     StreamScenario,
     assignment_from_sizes,
     build_indicator,
     cusum_maxform,
     cusum_update,
     exact_increment,
+    iter_stream,
     log_likelihood_ratio,
     make_stream,
     mean_matrix,
@@ -242,3 +249,84 @@ class TestRunDetector:
             res = run_detector(stream, DetectorConfig(method=EXACT, b=b, A=A21))
             stops.append(res.stop_time if res.stop_time is not None else np.inf)
         assert stops[0] <= stops[1] <= stops[2]
+
+
+def longhand_run(snaps, cfg):
+    """The detector loop spelled out as the oracle for run_detector.
+
+    A separate deque holds the last w+1 snapshots (one for exact); the oldest
+    is scored against the rest, whose mean comes from np.add.reduce, then
+    top_m_eigs, the projector and an entrywise dot.
+    """
+    lag = 0 if cfg.method == EXACT else cfg.w
+    mm = mean_matrix(cfg.A) if cfg.method == EXACT else None
+    held = deque()
+    s, trajectory = 0.0, []
+    for snap in snaps:
+        held.append(snap)
+        if len(held) < lag + 1:
+            continue
+        g = held.popleft()
+        if cfg.method == EXACT:
+            offset = float(np.dot(mm.ravel(), mm.ravel()))
+            inc = 2.0 * float(np.dot(g.weights.ravel(), mm.ravel())) - offset
+        else:
+            acc = np.add.reduce([x.weights for x in held])
+            est = top_m_eigs((acc + acc.T) / (2.0 * cfg.w), cfg.m)
+            if cfg.method == TOP1:
+                v = est.eigenvectors[:, 0]
+                inc = float(v @ g.weights @ v) - cfg.d
+            else:
+                p = projector(est)
+                inc = float(np.dot(g.weights.ravel(), p.ravel())) - cfg.d
+        s = max(s, 0.0) + inc
+        trajectory.append((g.t, s))
+        if s >= cfg.b:
+            return g.t + lag, trajectory
+    return None, trajectory
+
+
+class TestRunDetectorMatchesTheLonghandLoop:
+    SIZES = (3, 2)
+
+    def config(self, method, b):
+        if method == EXACT:
+            a = build_indicator(assignment_from_sizes(self.SIZES, n=8))
+            return DetectorConfig(method=EXACT, b=3.0 * b, A=a)
+        if method == TOP1:
+            return DetectorConfig(method=TOP1, b=b, w=4, d=0.7)
+        return DetectorConfig(method=SPECTRAL, b=b, m=2, w=5)
+
+    def scenario(self, convention):
+        return StreamScenario(
+            assignment=assignment_from_sizes(self.SIZES, n=8),
+            sigma=1.0,
+            tau=20,
+            horizon=70,
+            seed=13,
+            convention=convention,
+        )
+
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    @pytest.mark.parametrize("method", [SPECTRAL, TOP1, EXACT])
+    @pytest.mark.parametrize("b", [10.0, math.inf])
+    def test_bit_for_bit(self, method, convention, b):
+        sc = self.scenario(convention)
+        cfg = self.config(method, b)
+        snaps = make_stream(sc)
+        want_stop, want_traj = longhand_run(snaps, cfg)
+        if math.isfinite(b):
+            assert want_stop is not None
+        for stream in (snaps, iter(snaps), iter_stream(sc)):
+            res = run_detector(stream, cfg)
+            assert res.stop_time == want_stop
+            assert res.trajectory == want_traj
+
+    @pytest.mark.parametrize("method", [SPECTRAL, EXACT])
+    def test_non_finite_increment_raises(self, method):
+        snaps = make_stream(self.scenario(SYMMETRIC))
+        bad = snaps[0].weights.copy()
+        bad[0, 1] = np.nan
+        snaps[0] = GraphSnapshot(t=1, n=8, weights=bad)
+        with pytest.raises(ValueError, match="non-finite increment"):
+            run_detector(snaps, self.config(method, math.inf))

@@ -71,6 +71,7 @@ class TestStreamRoundTrip:
         buf.seek(0)
         back = read_stream(buf)
         assert len(back) == 3
+        assert not buf.closed
 
     def test_empty_file_reads_as_an_empty_stream(self, tmp_path):
         path = tmp_path / "empty.ndjson"
@@ -114,6 +115,30 @@ class TestStreamErrors:
         path = tmp_path / "bad.ndjson"
         path.write_text('{"t": 1, "n": 1, "tri": [0.0], "full": [0.0]}\n')
         with pytest.raises(StreamFormatError):
+            read_stream(path)
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["NaN", "Infinity", "-Infinity", "1e999", "1" + "0" * 400],
+        ids=["nan", "inf", "-inf", "1e999", "10**400"],
+    )
+    def test_non_finite_weights_are_rejected(self, tmp_path, literal):
+        path = tmp_path / "bad.ndjson"
+        path.write_text(
+            '{"t": 1, "n": 2, "tri": [0.0, 0.0, 0.0]}\n'
+            f'{{"t": 2, "n": 2, "tri": [0.0, {literal}, 0.0]}}\n'
+        )
+        with pytest.raises(StreamFormatError, match="line 2"):
+            read_stream(path)
+
+    @pytest.mark.parametrize("t2", [1, 0])
+    def test_time_indices_must_increase(self, tmp_path, t2):
+        path = tmp_path / "bad.ndjson"
+        path.write_text(
+            '{"t": 1, "n": 1, "tri": [0.0]}\n'
+            f'{{"t": {t2}, "n": 1, "tri": [0.0]}}\n'
+        )
+        with pytest.raises(StreamFormatError, match='line 2: "t" must increase'):
             read_stream(path)
 
 

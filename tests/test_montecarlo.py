@@ -27,8 +27,11 @@ from spectral_cusum import (
     estimate_arl,
     estimate_drift_mc,
     estimate_edd,
+    iter_stream,
     mean_matrix,
     oc_curve,
+    rng_from_key,
+    run_detector,
     verify_equalizer_mc,
 )
 from spectral_cusum.montecarlo import _lindley, _rep_alarm
@@ -80,13 +83,12 @@ class TestExactFastPathParity:
     def test_alarm_times_match_the_generic_loop(self, convention, tau, b):
         """The vectorized exact path and the snapshot-by-snapshot detector
         consume the same keyed generator, so their alarms must coincide."""
-        from spectral_cusum.montecarlo import _generic_result
-
         sc = h0_scenario(convention=convention, tau=tau)
         plan = McPlan(sc, exact_detector(b), replications=6, cap=300, master_seed=42)
         for rep in range(plan.replications):
             fast = _rep_alarm(plan, rep)
-            slow = _generic_result(plan, rep, b).stop_time
+            stream = iter_stream(sc, rng=rng_from_key(plan.master_seed, rep), horizon=plan.cap)
+            slow = run_detector(stream, plan.detector, horizon=plan.cap).stop_time
             assert fast == slow
 
 
@@ -104,11 +106,12 @@ class TestArl:
         assert 6.0 <= est.mean <= 17.0
 
     def test_paired_seeds_make_alarm_times_monotone_in_b(self):
-        plan = McPlan(h0_scenario(), exact_detector(2.0), replications=50, cap=2000)
+        plans = [
+            McPlan(h0_scenario(), exact_detector(b), replications=50, cap=2000)
+            for b in (2.0, 4.0, 8.0)
+        ]
         for rep in range(50):
-            times = [
-                (_rep_alarm(plan, rep, b) or plan.cap + 1) for b in (2.0, 4.0, 8.0)
-            ]
+            times = [(_rep_alarm(plan, rep) or plan.cap + 1) for plan in plans]
             assert times[0] <= times[1] <= times[2]
 
     def test_matches_an_independent_reimplementation(self):

@@ -44,6 +44,13 @@ class TestWindowBuffer:
         buf.push(snap(2 * np.ones((2, 2)), t=3))
         assert [s.t for s in buf.snapshots] == [2, 3]
 
+    def test_push_returns_what_a_full_buffer_evicts_in_arrival_order(self):
+        buf = WindowBuffer(2)
+        evicted = [buf.push(snap(np.full((2, 2), float(t)), t=t)) for t in range(1, 6)]
+        assert evicted[:2] == [None, None]
+        assert [g.t for g in evicted[2:]] == [1, 2, 3]
+        assert [s.t for s in buf.snapshots] == [4, 5]
+
     def test_rejects_capacity_below_one(self):
         with pytest.raises(ValueError):
             WindowBuffer(0)
