@@ -4,7 +4,7 @@ Every subcommand accepts --seed, --out, and --config. A config file holds
 "key = value" lines using the long option names; flags given on the command
 line override it. Exit codes: 0 success, 2 usage error (bad flags, values, or
 config keys), 3 validity failure (parameters outside a formula's domain,
-calibration failure, malformed data files).
+calibration failure, malformed data files, data that overflows the statistic).
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from .io import (
     xcorr_stream,
 )
 from .montecarlo import CalibrationError, McPlan, calibrate_threshold, oc_curve
+from .spectral import NumericalError
 from .theory import ValidityError, theory_report
 
 
@@ -370,7 +371,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except (ValidityError, CalibrationError, StreamFormatError) as err:
+    except (ValidityError, CalibrationError, StreamFormatError, NumericalError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as err:

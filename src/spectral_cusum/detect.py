@@ -28,7 +28,7 @@ from typing import Iterable
 import numpy as np
 
 from .graph_model import GraphSnapshot, IndicatorMatrix, mean_matrix
-from .spectral import WindowBuffer, estimate_subspace, projector
+from .spectral import NumericalError, WindowBuffer, estimate_subspace, projector
 
 EXACT = "exact"
 SPECTRAL = "spectral"
@@ -162,7 +162,9 @@ def run_detector(stream, config: DetectorConfig, horizon: int | None = None) -> 
     The stream may be any iterable of snapshots; at most `horizon` snapshots
     are consumed when given. Spectral/top1 runs shorter than w+1 snapshots
     score nothing and return an empty trajectory with no alarm. A non-finite
-    increment raises ValueError: it would stop the statistic from alarming.
+    window mean or increment, or a failed eigensolve, raises NumericalError:
+    it would stop the statistic from alarming. Finite weights can get there
+    by overflowing.
     """
     if horizon is not None and horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -186,7 +188,10 @@ def run_detector(stream, config: DetectorConfig, horizon: int | None = None) -> 
             g = window.push(snap)
             if g is None:
                 continue
-            est = estimate_subspace(window, config.m)
+            try:
+                est = estimate_subspace(window, config.m)
+            except (NumericalError, np.linalg.LinAlgError) as err:
+                raise NumericalError(f"window after t={g.t}: {err}") from err
             if config.method == TOP1:
                 inc = top1_increment(g, est.eigenvectors[:, 0], config.d)
             else:
@@ -195,7 +200,7 @@ def run_detector(stream, config: DetectorConfig, horizon: int | None = None) -> 
             g = snap
             inc = 2.0 * float(np.dot(g.weights.ravel(), mm_flat)) - offset
         if not math.isfinite(inc):
-            raise ValueError(f"non-finite increment {inc} at t={g.t}")
+            raise NumericalError(f"non-finite increment {inc} at t={g.t}")
         statistic = cusum_update(statistic, inc)
         trajectory.append((g.t, statistic))
         if statistic >= config.b:

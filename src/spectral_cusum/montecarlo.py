@@ -199,11 +199,17 @@ def calibrate_threshold(
 
     Bisects on the empirically monotone ARL(b), warm-started at ln(gamma);
     the warm start is returned untouched when it already probes within
-    rel_tol. Probes reuse per-replication statistic paths computed once (the
-    path does not depend on b), counting capped runs at cap, which keeps the
-    probe curve monotone and conservative. A confirmation pass at double
-    budget with fresh replication ids must land within rel_tol of the target,
-    with fewer than 1% of its runs truncated.
+    rel_tol. Probes read per-replication running maxima of statistic paths
+    simulated up to a reach r, the highest threshold probed so far: each path
+    stops at its first crossing of r, or at cap if it never crosses. A probe
+    at b <= r is exact, because a stopped path's running max ends at or above
+    b and so first reaches b where the path run to cap would. A probe above r
+    re-simulates the paths at b and makes b the reach; replication i draws
+    only from key (seed, i), in time order, so a path stopped sooner is a
+    prefix of one stopped later. Runs that never reach b count at cap, which
+    keeps the probe curve monotone and conservative. A confirmation pass at
+    double budget with fresh replication ids must land within rel_tol of the
+    target, with fewer than 1% of its runs truncated.
     """
     if target_gamma < 10:
         raise ValueError("target run length must be at least 10")
@@ -217,13 +223,18 @@ def calibrate_threshold(
             f"{target_gamma}: need cap >= 10 * target"
         )
     lag = 0 if plan.detector.method == EXACT else plan.detector.w
-    unstopped = replace(plan, detector=replace(plan.detector, b=math.inf))
-    runmaxes = [
-        np.maximum.accumulate(p, out=p)
-        for p in _map_reps(_rep_path, unstopped, range(plan.replications), workers)
-    ]
+    reach = -math.inf
+    runmaxes: list[np.ndarray] = []
 
     def probe(b: float) -> float:
+        nonlocal reach, runmaxes
+        if b > reach:
+            at_b = replace(plan, detector=replace(plan.detector, b=b))
+            runmaxes = [
+                np.maximum.accumulate(p, out=p)
+                for p in _map_reps(_rep_path, at_b, range(plan.replications), workers)
+            ]
+            reach = b
         total = 0.0
         for rm in runmaxes:
             idx = int(np.searchsorted(rm, b, side="left"))

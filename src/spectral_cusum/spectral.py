@@ -8,6 +8,7 @@ detection statistic uses.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -16,6 +17,11 @@ import numpy as np
 from .graph_model import GraphSnapshot
 
 ASYMMETRY_TOL = 1e-9
+
+
+class NumericalError(ValueError):
+    """The data drove the statistic out of the finite numbers: a non-finite
+    matrix or increment, or an eigensolve that failed."""
 
 
 class WindowBuffer:
@@ -83,6 +89,7 @@ def top_m_eigs(matrix: np.ndarray, m: int) -> SpectralEstimate:
     solve's stable output order, and each eigenvector is sign-normalized so
     its largest-magnitude entry (first such entry on ties) is positive.
     Residuals satisfy ||Mv - lambda v|| <= 1e-8 * max(1, ||M||_F) per pair.
+    A matrix with a NaN or infinite entry raises NumericalError.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -91,6 +98,9 @@ def top_m_eigs(matrix: np.ndarray, m: int) -> SpectralEstimate:
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     asym = float(np.max(np.abs(matrix - matrix.T)))
+    # a NaN or infinite entry makes its difference with its mirror non-finite
+    if not math.isfinite(asym):
+        raise NumericalError("matrix has non-finite entries (NaN or infinity)")
     if asym > ASYMMETRY_TOL:
         raise ValueError(
             f"matrix is not symmetric: max|M - M^T| = {asym:.3e} exceeds {ASYMMETRY_TOL}"

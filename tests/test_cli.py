@@ -159,6 +159,19 @@ class TestDetect:
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "method_flags",
+        [["--method", "exact", "--sizes", "2"], ["--method", "spectral", "--m", "2", "--window", "2"]],
+    )
+    def test_overflowing_finite_weights_are_a_validity_error(self, tmp_path, capsys, method_flags):
+        stream = tmp_path / "huge.ndjson"
+        stream.write_text(
+            "".join(json.dumps({"t": t, "n": 2, "tri": [1e308] * 3}) + "\n" for t in range(1, 9))
+        )
+        code = main(["detect", str(stream), *method_flags, "--out", str(tmp_path / "t.csv")])
+        assert code == 3
+        assert "non-finite" in capsys.readouterr().err
+
     def test_non_increasing_time_is_a_format_error(self, tmp_path, capsys):
         stream = simulate_degenerate(tmp_path)
         lines = stream.read_text().splitlines()

@@ -16,6 +16,7 @@ from spectral_cusum import (
     TOP1,
     DetectorConfig,
     GraphSnapshot,
+    NumericalError,
     StreamScenario,
     assignment_from_sizes,
     build_indicator,
@@ -330,3 +331,24 @@ class TestRunDetectorMatchesTheLonghandLoop:
         snaps[0] = GraphSnapshot(t=1, n=8, weights=bad)
         with pytest.raises(ValueError, match="non-finite increment"):
             run_detector(snaps, self.config(method, math.inf))
+
+    @pytest.mark.parametrize("method", [SPECTRAL, TOP1])
+    def test_overflowing_window_mean_raises(self, method):
+        """Finite weights whose window sum overflows give a non-finite mean."""
+        snaps = make_stream(self.scenario(SYMMETRIC))
+        for i in (3, 4):
+            snaps[i] = GraphSnapshot(t=i + 1, n=8, weights=np.full((8, 8), 1e308))
+        with pytest.raises(NumericalError, match="window after t=1: .*non-finite"):
+            run_detector(snaps, self.config(method, math.inf))
+
+    def test_eigensolver_failure_is_a_numerical_error(self, monkeypatch):
+        import spectral_cusum.detect as detect
+
+        def failing(buffer, m):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(detect, "estimate_subspace", failing)
+        snaps = make_stream(self.scenario(SYMMETRIC))
+        with pytest.raises(NumericalError, match="did not converge") as info:
+            run_detector(snaps, self.config(SPECTRAL, math.inf))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

@@ -11,11 +11,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spectral_cusum import (
     EXACT,
     IID_FULL,
     SPECTRAL,
+    SYMMETRIC,
+    TOP1,
     CalibrationError,
     DetectorConfig,
     McPlan,
@@ -24,6 +28,7 @@ from spectral_cusum import (
     assignment_from_sizes,
     build_indicator,
     calibrate_threshold,
+    cusum_update,
     estimate_arl,
     estimate_drift_mc,
     estimate_edd,
@@ -34,7 +39,7 @@ from spectral_cusum import (
     run_detector,
     verify_equalizer_mc,
 )
-from spectral_cusum.montecarlo import _lindley, _rep_alarm
+from spectral_cusum.montecarlo import _lindley, _rep_alarm, _rep_path, _summarize
 
 A21 = assignment_from_sizes((2, 1))
 
@@ -75,6 +80,88 @@ class TestLindleyBlocks:
                 s = max(s, 0.0) + z
                 want.append(s)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @given(
+        incs=st.lists(
+            st.floats(min_value=-3, max_value=3, allow_nan=False), min_size=1, max_size=60
+        ),
+        cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=6),
+        s0=st.floats(min_value=-3, max_value=3, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_chunks_carrying_the_statistic_match_the_stepwise_loop(self, incs, cuts, s0):
+        bounds = [0, *sorted({c for c in cuts if c < len(incs)}), len(incs)]
+        got, carry = [], s0
+        for lo, hi in zip(bounds, bounds[1:]):
+            block = _lindley(np.array(incs[lo:hi]), carry)
+            got.extend(block)
+            carry = float(block[-1])
+        want, s = [], s0
+        for z in incs:
+            s = cusum_update(s, z)
+            want.append(s)
+        # the block form sums the increments in a different order
+        tol = 4 * len(incs) * np.finfo(float).eps * (abs(s0) + float(np.abs(incs).sum()))
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+def with_b(plan, b):
+    return replace(plan, detector=replace(plan.detector, b=b))
+
+
+def assert_stopped_path_is_a_prefix(plan, rep, k):
+    """Stop replication rep at the running max of its uncapped path at entry
+    k: it must equal that path up to and including its first crossing, which
+    is returned. Returns None when that max is not a valid threshold (b <= 0)."""
+    full = _rep_path(with_b(plan, math.inf), rep)
+    k = min(k, full.size - 1)
+    b = float(full[: k + 1].max())
+    if b <= 0:
+        return None
+    first = int(np.argmax(full >= b))
+    assert first <= k
+    stopped = _rep_path(with_b(plan, b), rep)
+    assert np.array_equal(stopped, full[: first + 1])
+    return first
+
+
+class TestStoppedPaths:
+    """Calibration's probes rest on this: a path stopped at b is the path run
+    to cap, cut after its first crossing of b."""
+
+    @given(
+        rep=st.integers(min_value=0, max_value=50),
+        k=st.one_of(st.sampled_from([510, 511, 512, 513, 1023, 1024]), st.integers(0, 1099)),
+        tau=st.sampled_from([None, 0]),
+        convention=st.sampled_from([SYMMETRIC, IID_FULL]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_exact_engine(self, rep, k, tau, convention):
+        sc = h0_scenario(tau=tau, convention=convention)
+        plan = McPlan(sc, exact_detector(1.0), replications=1, cap=1100, master_seed=8)
+        assume(assert_stopped_path_is_a_prefix(plan, rep, k) is not None)
+
+    @pytest.mark.parametrize("k", [0, 300, 511, 512, 1023, 1024])
+    def test_exact_crossing_inside_a_chunk_and_on_its_boundaries(self, k):
+        """Post-change paths climb, so some replication sets a new record at
+        entry k; stopping it there puts the crossing exactly at k (entry 511
+        ends the first 512-step chunk, 512 starts the next)."""
+        plan = McPlan(h0_scenario(tau=0), exact_detector(1.0), replications=1, cap=1100)
+        full = [_rep_path(with_b(plan, math.inf), rep) for rep in range(20)]
+        rep = next(r for r, p in enumerate(full) if p[k] > p[:k].max(initial=0.0))
+        assert assert_stopped_path_is_a_prefix(plan, rep, k) == k
+
+    @given(
+        rep=st.integers(min_value=0, max_value=50),
+        k=st.integers(min_value=0, max_value=60),
+        tau=st.sampled_from([None, 0]),
+        method=st.sampled_from([SPECTRAL, TOP1]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_windowed_detectors(self, rep, k, tau, method):
+        det = DetectorConfig(method=method, b=1.0, m=2, w=3)
+        plan = McPlan(h0_scenario(tau=tau), det, replications=1, cap=60, master_seed=8)
+        assume(assert_stopped_path_is_a_prefix(plan, rep, k) is not None)
 
 
 class TestExactFastPathParity:
@@ -209,6 +296,92 @@ class TestCalibration:
         plan = McPlan(h0_scenario(tau=3), exact_detector(2.0), replications=50, cap=500)
         with pytest.raises(ValueError):
             calibrate_threshold(plan, 20.0)
+
+
+def full_cap_calibrate(plan, target_gamma, rel_tol):
+    """Slow twin of calibrate_threshold: every path is run to cap, and a
+    probe scans each path for its first crossing of b. The search, the
+    confirmation and the retry are copied from the calibrator."""
+    lag = 0 if plan.detector.method == EXACT else plan.detector.w
+    paths = [_rep_path(with_b(plan, math.inf), i) for i in range(plan.replications)]
+
+    def probe(b):
+        total = 0.0
+        for path in paths:
+            hits = np.nonzero(path >= b)[0]
+            total += hits[0] + 1 + lag if hits.size else plan.cap
+        return total / len(paths)
+
+    def within(value):
+        return abs(value - target_gamma) <= rel_tol * target_gamma
+
+    b0 = math.log(target_gamma)
+
+    def solve(tval):
+        lo = hi = b0
+        value = probe(b0)
+        if value < tval:
+            for _ in range(80):
+                lo, hi = hi, hi * 2.0
+                if probe(hi) >= tval:
+                    break
+            else:
+                raise CalibrationError("no threshold reaches the target")
+        elif value > tval:
+            for _ in range(300):
+                hi, lo = lo, lo / 2.0
+                if probe(lo) <= tval:
+                    break
+            else:
+                raise CalibrationError("target is below the minimum")
+        else:
+            return b0
+        for _ in range(200):
+            if hi - lo <= 1e-9 * max(1.0, hi):
+                break
+            mid = 0.5 * (lo + hi)
+            if probe(mid) < tval:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    candidate = b0 if within(probe(b0)) else solve(target_gamma)
+    base = plan.replications
+    for attempt in range(2):
+        ids = range(base, base + 2 * plan.replications)
+        base += 2 * plan.replications
+        est = _summarize([_rep_alarm(with_b(plan, candidate), i) for i in ids])
+        assert est.truncated / len(ids) < 0.01
+        if within(est.mean):
+            return candidate
+        assert attempt == 0, "confirmation missed twice"
+        candidate = solve(target_gamma * target_gamma / est.mean)
+
+
+class TestCalibrationMatchesTheFullCapTwin:
+    """Paths stopped at the highest threshold probed give the thresholds
+    that paths run to cap give, bit for bit."""
+
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    @pytest.mark.parametrize("method", [EXACT, SPECTRAL, TOP1])
+    def test_bit_identical_at_one_and_two_workers(self, method, convention):
+        if method == EXACT:
+            det = exact_detector(1.0)
+        else:
+            det = DetectorConfig(method=method, b=1.0, m=2, w=3, d=0.6 if method == TOP1 else None)
+        sc = h0_scenario(convention=convention)
+        plan = McPlan(sc, det, replications=60, cap=200, master_seed=5)
+        want = full_cap_calibrate(plan, 20.0, 0.2)
+        assert want != math.log(20.0)
+        for workers in (1, 2):
+            assert calibrate_threshold(plan, 20.0, 0.2, workers=workers) == want
+
+    def test_paths_are_resimulated_when_the_search_doubles_past_ln_gamma(self):
+        plan = McPlan(h0_scenario(), exact_detector(1.0), replications=100, cap=500)
+        want = full_cap_calibrate(plan, 50.0, 0.2)
+        assert want > math.log(50.0)
+        assert calibrate_threshold(plan, 50.0, 0.2) == want
 
 
 class TestOcCurve:

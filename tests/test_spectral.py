@@ -7,6 +7,7 @@ from spectral_cusum import (
     IID_FULL,
     SYMMETRIC,
     GraphSnapshot,
+    NumericalError,
     StreamScenario,
     WindowBuffer,
     assignment_from_sizes,
@@ -148,6 +149,15 @@ class TestTopMEigs:
         m = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
             top_m_eigs(m, 1)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_input(self, bad):
+        """NaN compares false against the asymmetry tolerance, so without its
+        own check a non-finite matrix would reach eigh and return NaN pairs."""
+        with pytest.raises(NumericalError, match="non-finite"):
+            top_m_eigs([[bad, 1.0], [1.0, 0.0]], 1)
+        with pytest.raises(ValueError, match="non-finite"):
+            top_m_eigs(np.diag([1.0, bad]), 2)
 
     def test_rejects_bad_m_and_shape(self):
         with pytest.raises(ValueError):
