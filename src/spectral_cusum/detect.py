@@ -183,27 +183,30 @@ def run_detector(stream, config: DetectorConfig, horizon: int | None = None) -> 
     statistic = 0.0
     stop_time = None
     trajectory: list[tuple[int, float]] = []
-    for snap in snaps:
-        if lag:
-            g = window.push(snap)
-            if g is None:
-                continue
-            try:
-                est = estimate_subspace(window, config.m)
-            except (NumericalError, np.linalg.LinAlgError) as err:
-                raise NumericalError(f"window after t={g.t}: {err}") from err
-            if config.method == TOP1:
-                inc = top1_increment(g, est.eigenvectors[:, 0], config.d)
+    # overflow shows up as a non-finite window mean or increment, which the
+    # loop checks and raises on, so numpy need not warn about it first
+    with np.errstate(over="ignore", invalid="ignore"):
+        for snap in snaps:
+            if lag:
+                g = window.push(snap)
+                if g is None:
+                    continue
+                try:
+                    est = estimate_subspace(window, config.m)
+                except (NumericalError, np.linalg.LinAlgError) as err:
+                    raise NumericalError(f"window after t={g.t}: {err}") from err
+                if config.method == TOP1:
+                    inc = top1_increment(g, est.eigenvectors[:, 0], config.d)
+                else:
+                    inc = spectral_increment(g, projector(est), config.d)
             else:
-                inc = spectral_increment(g, projector(est), config.d)
-        else:
-            g = snap
-            inc = 2.0 * float(np.dot(g.weights.ravel(), mm_flat)) - offset
-        if not math.isfinite(inc):
-            raise NumericalError(f"non-finite increment {inc} at t={g.t}")
-        statistic = cusum_update(statistic, inc)
-        trajectory.append((g.t, statistic))
-        if statistic >= config.b:
-            stop_time = g.t + lag
-            break
+                g = snap
+                inc = 2.0 * float(np.dot(g.weights.ravel(), mm_flat)) - offset
+            if not math.isfinite(inc):
+                raise NumericalError(f"non-finite increment {inc} at t={g.t}")
+            statistic = cusum_update(statistic, inc)
+            trajectory.append((g.t, statistic))
+            if statistic >= config.b:
+                stop_time = g.t + lag
+                break
     return DetectionResult(stop_time=stop_time, trajectory=trajectory, config=config)

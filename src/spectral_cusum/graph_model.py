@@ -20,6 +20,7 @@ BACKGROUND = "background"
 SYMMETRIC = "symmetric"
 IID_FULL = "iid-full"
 CONVENTIONS = (SYMMETRIC, IID_FULL)
+_CACHE_MAXSIZE = 64
 
 
 def rng_from_key(seed: int, stream: int = 0) -> np.random.Generator:
@@ -143,7 +144,7 @@ def sample_snapshot(
     return GraphSnapshot(t=t, n=n, weights=weights)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=_CACHE_MAXSIZE)
 def _triu_cache(n: int):
     return np.triu_indices(n)
 

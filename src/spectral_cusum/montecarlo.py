@@ -14,13 +14,16 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import repeat
 
 import numpy as np
 
 from .detect import EXACT, SPECTRAL, TOP1, DetectorConfig, run_detector
 from .graph_model import (
+    _CACHE_MAXSIZE,
     SYMMETRIC,
+    CommunityAssignment,
     StreamScenario,
     build_indicator,
     iter_stream,
@@ -31,6 +34,7 @@ from .spectral import WindowBuffer, estimate_subspace, projector
 from .theory import ValidityError, drift_for_delta
 
 _CHUNK = 512
+_FIRST_PIECE = 16
 _EQUALIZER_CHUNK = 2048
 
 
@@ -85,22 +89,24 @@ def _summarize(times: list[int | None]) -> McEstimate:
 # -- per-replication engines -------------------------------------------------
 
 
-def _exact_coefficients(plan: McPlan):
+@lru_cache(maxsize=_CACHE_MAXSIZE)
+def _exact_coefficients(assignment: CommunityAssignment, convention: str):
     """Precompute the per-step increment law of the exact detector.
 
     Under either sampling convention the increment is a linear map of the
     step's Gaussian draws: z_t = 2 (base_t + sigma * (draws . coef)) - offset,
-    where base_t is 0 pre-change and tr((AA^T)^2) post-change.
+    where base_t is 0 pre-change and tr((AA^T)^2) post-change. Cached, so the
+    returned coefficients are read-only.
     """
-    a = build_indicator(plan.scenario.assignment)
-    mm = mean_matrix(a)
+    mm = mean_matrix(build_indicator(assignment))
     n = mm.shape[0]
     offset = float(np.dot(mm.ravel(), mm.ravel()))
-    if plan.scenario.convention == SYMMETRIC:
+    if convention == SYMMETRIC:
         iu = np.triu_indices(n)
         coef = mm[iu] * np.where(iu[0] == iu[1], 1.0, 2.0)
     else:
         coef = mm.ravel().copy()
+    coef.flags.writeable = False
     return coef, offset
 
 
@@ -108,25 +114,43 @@ def _rep_path(plan: McPlan, rep: int) -> np.ndarray:
     """Statistic path of one replication, up to and including its first
     crossing of plan.detector.b; at b = +inf, the whole path to cap.
 
-    The exact method runs the vectorized chunk engine; the others run the
+    The exact method runs the vectorized engine; the others run the
     snapshot-by-snapshot detector. Entry i is the statistic of scored index
     i + 1, so an alarm on the last entry falls at the path's length plus lag.
+
+    The exact engine scores blocks of _CHUNK steps with the clamped
+    recursion in closed form, S_t = C_t + max(s0, -min_{j<t} C_j), where C
+    is the running increment sum since the block began and s0 the statistic
+    that ended the previous block. It draws each block in growing pieces:
+    _FIRST_PIECE rows, then as many rows again as it has drawn so far, up to
+    _CHUNK rows a piece, and it stops at the piece that holds the first
+    crossing of b. So a path that stops at entry k draws at most
+    max(_FIRST_PIECE, 2(k + 1)) rows. Within a block the pieces carry C and
+    its running minimum, so each entry is summed in the order the whole
+    block would sum it; s0 resets only every _CHUNK steps, as in the
+    block-at-a-time engine, and the path is bit-identical to it.
     """
     rng = rng_from_key(plan.master_seed, rep)
     if plan.detector.method != EXACT:
         stream = iter_stream(plan.scenario, rng=rng, horizon=plan.cap)
         result = run_detector(stream, plan.detector, horizon=plan.cap)
         return np.array([s for _, s in result.trajectory])
-    coef, offset = _exact_coefficients(plan)
+    coef, offset = _exact_coefficients(plan.scenario.assignment, plan.scenario.convention)
     sigma = plan.scenario.sigma
     tau = plan.scenario.tau
     b = plan.detector.b
     cap = plan.cap
     kept: list[np.ndarray] = []
-    carry = 0.0
+    carry = run = 0.0
+    low = math.inf
     pos = 0
     while pos < cap:
-        k = min(_CHUNK, cap - pos)
+        into = pos % _CHUNK
+        if into == 0:
+            # a new block: the statistic carries over, the sums restart
+            carry = float(kept[-1][-1]) if kept else 0.0
+            run, low = 0.0, math.inf
+        k = min(max(pos, _FIRST_PIECE), _CHUNK - into, cap - pos)
         draws = rng.standard_normal((k, coef.size))
         if tau is None:
             base = 0.0
@@ -134,26 +158,17 @@ def _rep_path(plan: McPlan, rep: int) -> np.ndarray:
             t_idx = np.arange(pos + 1, pos + k + 1)
             base = np.where(t_idx > tau, offset, 0.0)
         incs = 2.0 * (base + sigma * (draws @ coef)) - offset
-        stats = _lindley(incs, carry)
+        sums = np.add.accumulate(np.concatenate(([run], incs)))
+        lows = np.minimum.accumulate(np.concatenate(([low], sums[:-1])))
+        stats = sums[1:] + np.maximum(-lows[1:], carry)
         hit = np.nonzero(stats >= b)[0]
         if hit.size:
             kept.append(stats[: hit[0] + 1])
             break
         kept.append(stats)
-        carry = float(stats[-1])
+        run, low = sums[-1], lows[-1]
         pos += k
     return np.concatenate(kept)
-
-
-def _lindley(increments: np.ndarray, s0: float) -> np.ndarray:
-    """Clamped-recursion statistics for a block of increments, starting at s0.
-
-    Uses S_t = C_t + max(s0, -min_{j<t} C_j) with C the running increment sum,
-    which equals the per-step recursion max(S_{t-1}, 0) + z_t.
-    """
-    c = np.cumsum(increments)
-    prefix = np.concatenate(([0.0], c[:-1]))
-    return c + np.maximum(-np.minimum.accumulate(prefix), s0)
 
 
 def _rep_alarm(plan: McPlan, rep: int) -> int | None:

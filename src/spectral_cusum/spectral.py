@@ -97,8 +97,9 @@ def top_m_eigs(matrix: np.ndarray, m: int) -> SpectralEstimate:
     n = matrix.shape[0]
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    asym = float(np.max(np.abs(matrix - matrix.T)))
     # a NaN or infinite entry makes its difference with its mirror non-finite
+    with np.errstate(invalid="ignore"):
+        asym = float(np.max(np.abs(matrix - matrix.T)))
     if not math.isfinite(asym):
         raise NumericalError("matrix has non-finite entries (NaN or infinity)")
     if asym > ASYMMETRY_TOL:

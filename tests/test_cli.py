@@ -7,6 +7,7 @@ Everything runs through main(argv) in-process: exit codes are the contract
 import csv
 import json
 import math
+import warnings
 
 import pytest
 
@@ -164,11 +165,15 @@ class TestDetect:
         [["--method", "exact", "--sizes", "2"], ["--method", "spectral", "--m", "2", "--window", "2"]],
     )
     def test_overflowing_finite_weights_are_a_validity_error(self, tmp_path, capsys, method_flags):
+        """The overflow is reported once, as the error, with no numpy
+        RuntimeWarning printed ahead of it."""
         stream = tmp_path / "huge.ndjson"
         stream.write_text(
             "".join(json.dumps({"t": t, "n": 2, "tri": [1e308] * 3}) + "\n" for t in range(1, 9))
         )
-        code = main(["detect", str(stream), *method_flags, "--out", str(tmp_path / "t.csv")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["detect", str(stream), *method_flags, "--out", str(tmp_path / "t.csv")])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
 

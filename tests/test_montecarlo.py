@@ -3,7 +3,9 @@ drift measurement, and the tilted-moment check.
 
 The exact-method replication engine has a vectorized fast path; the parity
 tests here pin it bit-for-bit to the generic detector loop on shared seeds,
-which is what makes the remaining statistical tests meaningful.
+which is what makes the remaining statistical tests meaningful. The fast
+path draws in growing pieces; its slow twin here draws whole blocks, and the
+two must give the same bits.
 """
 
 import math
@@ -39,7 +41,8 @@ from spectral_cusum import (
     run_detector,
     verify_equalizer_mc,
 )
-from spectral_cusum.montecarlo import _lindley, _rep_alarm, _rep_path, _summarize
+from spectral_cusum import montecarlo
+from spectral_cusum.montecarlo import _CHUNK, _rep_alarm, _rep_path, _summarize
 
 A21 = assignment_from_sizes((2, 1))
 
@@ -69,12 +72,54 @@ class TestPlanValidation:
             McPlan(h0_scenario(), det, replications=10, cap=10)
 
 
+def lindley_block(increments, s0):
+    """Clamped-recursion statistics for a block of increments, starting at s0:
+    S_t = C_t + max(s0, -min_{j<t} C_j) with C the running increment sum,
+    which equals the per-step recursion max(S_{t-1}, 0) + z_t."""
+    c = np.cumsum(increments)
+    prefix = np.concatenate(([0.0], c[:-1]))
+    return c + np.maximum(-np.minimum.accumulate(prefix), s0)
+
+
+def block_at_a_time_path(plan, rep):
+    """Slow twin of the exact engine: draw whole _CHUNK-step blocks, score
+    each with lindley_block carrying the statistic over, and cut the path
+    after its first crossing of b."""
+    sc = plan.scenario
+    mm = mean_matrix(build_indicator(sc.assignment))
+    offset = float(np.dot(mm.ravel(), mm.ravel()))
+    if sc.convention == SYMMETRIC:
+        iu = np.triu_indices(mm.shape[0])
+        coef = mm[iu] * np.where(iu[0] == iu[1], 1.0, 2.0)
+    else:
+        coef = mm.ravel()
+    rng = rng_from_key(plan.master_seed, rep)
+    kept, carry = [], 0.0
+    for pos in range(0, plan.cap, _CHUNK):
+        k = min(_CHUNK, plan.cap - pos)
+        draws = rng.standard_normal((k, coef.size))
+        t = np.arange(pos + 1, pos + k + 1)
+        base = 0.0 if sc.tau is None else np.where(t > sc.tau, offset, 0.0)
+        stats = lindley_block(2.0 * (base + sc.sigma * (draws @ coef)) - offset, carry)
+        hit = np.nonzero(stats >= plan.detector.b)[0]
+        if hit.size:
+            kept.append(stats[: hit[0] + 1])
+            break
+        kept.append(stats)
+        carry = float(stats[-1])
+    return np.concatenate(kept)
+
+
+def assert_matches_the_twin(plan, rep):
+    assert np.array_equal(_rep_path(plan, rep), block_at_a_time_path(plan, rep))
+
+
 class TestLindleyBlocks:
     def test_matches_the_stepwise_recursion(self):
         rng = np.random.default_rng(5)
         for s0 in (-2.0, 0.0, 3.0):
             incs = rng.uniform(-2, 2, size=37)
-            got = _lindley(incs, s0)
+            got = lindley_block(incs, s0)
             s, want = s0, []
             for z in incs:
                 s = max(s, 0.0) + z
@@ -93,7 +138,7 @@ class TestLindleyBlocks:
         bounds = [0, *sorted({c for c in cuts if c < len(incs)}), len(incs)]
         got, carry = [], s0
         for lo, hi in zip(bounds, bounds[1:]):
-            block = _lindley(np.array(incs[lo:hi]), carry)
+            block = lindley_block(np.array(incs[lo:hi]), carry)
             got.extend(block)
             carry = float(block[-1])
         want, s = [], s0
@@ -109,10 +154,11 @@ def with_b(plan, b):
     return replace(plan, detector=replace(plan.detector, b=b))
 
 
-def assert_stopped_path_is_a_prefix(plan, rep, k):
+def assert_stopped_path_is_a_prefix(plan, rep, k, exact=False):
     """Stop replication rep at the running max of its uncapped path at entry
     k: it must equal that path up to and including its first crossing, which
-    is returned. Returns None when that max is not a valid threshold (b <= 0)."""
+    is returned. Returns None when that max is not a valid threshold (b <= 0).
+    For the exact engine, both paths must also match the block-at-a-time twin."""
     full = _rep_path(with_b(plan, math.inf), rep)
     k = min(k, full.size - 1)
     b = float(full[: k + 1].max())
@@ -122,7 +168,17 @@ def assert_stopped_path_is_a_prefix(plan, rep, k):
     assert first <= k
     stopped = _rep_path(with_b(plan, b), rep)
     assert np.array_equal(stopped, full[: first + 1])
+    if exact:
+        assert_matches_the_twin(with_b(plan, math.inf), rep)
+        assert_matches_the_twin(with_b(plan, b), rep)
     return first
+
+
+# entries 15/16, 31/32, ... end and start the engine's growing pieces, 47/48,
+# 111/112, ... would for pieces of 16, 32, 64, ...; 511/512 and 1023/1024
+# end and start its blocks
+PIECE_EDGES = [15, 16, 31, 32, 47, 48, 63, 64, 111, 112, 127, 128, 239, 240, 255, 256, 495, 496]
+BLOCK_EDGES = [510, 511, 512, 513, 1023, 1024]
 
 
 class TestStoppedPaths:
@@ -131,7 +187,7 @@ class TestStoppedPaths:
 
     @given(
         rep=st.integers(min_value=0, max_value=50),
-        k=st.one_of(st.sampled_from([510, 511, 512, 513, 1023, 1024]), st.integers(0, 1099)),
+        k=st.one_of(st.sampled_from(PIECE_EDGES + BLOCK_EDGES), st.integers(0, 1099)),
         tau=st.sampled_from([None, 0]),
         convention=st.sampled_from([SYMMETRIC, IID_FULL]),
     )
@@ -139,17 +195,18 @@ class TestStoppedPaths:
     def test_exact_engine(self, rep, k, tau, convention):
         sc = h0_scenario(tau=tau, convention=convention)
         plan = McPlan(sc, exact_detector(1.0), replications=1, cap=1100, master_seed=8)
-        assume(assert_stopped_path_is_a_prefix(plan, rep, k) is not None)
+        assume(assert_stopped_path_is_a_prefix(plan, rep, k, exact=True) is not None)
 
-    @pytest.mark.parametrize("k", [0, 300, 511, 512, 1023, 1024])
-    def test_exact_crossing_inside_a_chunk_and_on_its_boundaries(self, k):
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    @pytest.mark.parametrize("k", [0, 300] + PIECE_EDGES + BLOCK_EDGES)
+    def test_exact_crossing_inside_a_chunk_and_on_its_boundaries(self, k, convention):
         """Post-change paths climb, so some replication sets a new record at
-        entry k; stopping it there puts the crossing exactly at k (entry 511
-        ends the first 512-step chunk, 512 starts the next)."""
-        plan = McPlan(h0_scenario(tau=0), exact_detector(1.0), replications=1, cap=1100)
+        entry k; stopping it there puts the crossing exactly at k."""
+        sc = h0_scenario(tau=0, convention=convention)
+        plan = McPlan(sc, exact_detector(1.0), replications=1, cap=1100)
         full = [_rep_path(with_b(plan, math.inf), rep) for rep in range(20)]
         rep = next(r for r, p in enumerate(full) if p[k] > p[:k].max(initial=0.0))
-        assert assert_stopped_path_is_a_prefix(plan, rep, k) == k
+        assert assert_stopped_path_is_a_prefix(plan, rep, k, exact=True) == k
 
     @given(
         rep=st.integers(min_value=0, max_value=50),
@@ -162,6 +219,55 @@ class TestStoppedPaths:
         det = DetectorConfig(method=method, b=1.0, m=2, w=3)
         plan = McPlan(h0_scenario(tau=tau), det, replications=1, cap=60, master_seed=8)
         assume(assert_stopped_path_is_a_prefix(plan, rep, k) is not None)
+
+
+class TestExactEngineMatchesTheBlockAtATimeTwin:
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    @pytest.mark.parametrize("tau", [None, 0, 37])
+    @pytest.mark.parametrize("cap", [7, 101, 513, 1100])
+    def test_bit_identical_paths(self, convention, tau, cap):
+        for sizes, sigma in (((2, 1), 1.0), ((4, 2), 0.5)):
+            a = assignment_from_sizes(sizes)
+            sc = StreamScenario(assignment=a, sigma=sigma, tau=tau, horizon=1, convention=convention)
+            det = DetectorConfig(method=EXACT, b=1.0, A=build_indicator(a))
+            for b in (math.inf, 3.0, 9.0):
+                plan = McPlan(sc, replace(det, b=b), replications=1, cap=cap, master_seed=12)
+                for rep in range(8):
+                    assert_matches_the_twin(plan, rep)
+
+
+class CountingGenerator:
+    """Delegates to a numpy Generator and records the rows of each 2-D
+    normal draw, as the benchmark's tracer counts simulated steps."""
+
+    def __init__(self, rng, rows):
+        self._rng = rng
+        self._rows = rows
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        if isinstance(size, tuple) and len(size) == 2:
+            self._rows.append(size[0])
+        return self._rng.standard_normal(size, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+class TestExactEngineDraws:
+    @pytest.mark.parametrize("k", [0, 1, 14, 15, 16, 17, 40, 100, 300, 497, 511])
+    def test_a_path_crossing_at_entry_k_draws_at_most_twice_its_length(self, monkeypatch, k):
+        rows = []
+        monkeypatch.setattr(
+            montecarlo, "rng_from_key", lambda seed, stream=0: CountingGenerator(rng_from_key(seed, stream), rows)
+        )
+        plan = McPlan(h0_scenario(tau=0), exact_detector(1.0), replications=1, cap=1100)
+        full = [_rep_path(with_b(plan, math.inf), rep) for rep in range(20)]
+        assert sum(rows) == 20 * plan.cap
+        rep = next(r for r, p in enumerate(full) if p[k] > p[:k].max(initial=0.0))
+        rows.clear()
+        stopped = _rep_path(with_b(plan, float(full[rep][k])), rep)
+        assert stopped.size == k + 1
+        assert sum(rows) <= max(16, 2 * (k + 1))
 
 
 class TestExactFastPathParity:
