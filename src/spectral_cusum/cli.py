@@ -43,14 +43,6 @@ class UsageError(Exception):
     """Bad flag or config combination; maps to exit code 2."""
 
 
-def _int(text: str) -> int:
-    return int(text)
-
-
-def _float(text: str) -> float:
-    return float(text)
-
-
 def _sizes(text: str) -> tuple[int, ...]:
     vals = tuple(int(p) for p in text.split(",") if p.strip())
     if not vals:
@@ -97,13 +89,13 @@ class _Opt:
         return self.name.replace("-", "_")
 
 
-_SEED = _Opt("seed", _int, default=0, help="master seed (default 0)")
+_SEED = _Opt("seed", int, default=0, help="master seed (default 0)")
 _OUT = _Opt("out", help="output path (default: stdout)")
 
 _SCENARIO_OPTS = (
     _Opt("sizes", _sizes, required=True, help="community sizes, e.g. 12,6"),
-    _Opt("nodes", _int, help="total node count (default: sum of sizes)"),
-    _Opt("sigma", _float, default=1.0, help="noise level (default 1.0)"),
+    _Opt("nodes", int, help="total node count (default: sum of sizes)"),
+    _Opt("sigma", float, default=1.0, help="noise level (default 1.0)"),
     _Opt(
         "convention",
         _convention,
@@ -114,21 +106,21 @@ _SCENARIO_OPTS = (
 
 _DETECTOR_OPTS = (
     _Opt("method", _method, required=True, help="exact, spectral, or top1"),
-    _Opt("m", _int, help="subspace dimension (spectral method)"),
-    _Opt("window", _int, help="window length w (spectral and top1 methods)"),
-    _Opt("d", _float, help="drift constant (default m/2)"),
+    _Opt("m", int, help="subspace dimension (spectral method)"),
+    _Opt("window", int, help="window length w (spectral and top1 methods)"),
+    _Opt("d", float, help="drift constant (default m/2)"),
 )
 
 _MC_OPTS = (
-    _Opt("reps", _int, default=500, help="Monte Carlo replications (default 500)"),
-    _Opt("cap", _int, help="max steps per replication (default 20x the target)"),
-    _Opt("rel-tol", _float, default=0.1, help="calibration tolerance (default 0.1)"),
-    _Opt("workers", _int, default=1, help="worker processes (default 1)"),
+    _Opt("reps", int, default=500, help="Monte Carlo replications (default 500)"),
+    _Opt("cap", int, help="max steps per replication (default 20x the target)"),
+    _Opt("rel-tol", float, default=0.1, help="calibration tolerance (default 0.1)"),
+    _Opt("workers", int, default=1, help="worker processes (default 1)"),
 )
 
 _SIMULATE_OPTS = _SCENARIO_OPTS + (
     _Opt("tau", _tau, help='change point; integer or "never" (default never)'),
-    _Opt("horizon", _int, required=True, help="number of snapshots to generate"),
+    _Opt("horizon", int, required=True, help="number of snapshots to generate"),
     _SEED,
     _OUT,
 )
@@ -138,18 +130,18 @@ _DETECT_OPTS = (
     *_DETECTOR_OPTS,
     _Opt(
         "b",
-        _float,
+        float,
         default=math.log(100.0),
         help="alarm threshold (default ln(100))",
     ),
     _Opt("sizes", _sizes, help="community sizes (exact method only)"),
-    _Opt("nodes", _int, help="total node count (exact method only)"),
+    _Opt("nodes", int, help="total node count (exact method only)"),
     _SEED,
     _OUT,
 )
 
 _CALIBRATE_OPTS = (
-    _Opt("target", _float, required=True, help="target average run length"),
+    _Opt("target", float, required=True, help="target average run length"),
     *_SCENARIO_OPTS,
     *_DETECTOR_OPTS,
     *_MC_OPTS,
@@ -159,10 +151,10 @@ _CALIBRATE_OPTS = (
 
 _THEORY_OPTS = (
     _Opt("sizes", _sizes, required=True, help="community sizes, e.g. 12,6"),
-    _Opt("nodes", _int, help="total node count (default: sum of sizes)"),
-    _Opt("sigma", _float, default=1.0, help="noise level (default 1.0)"),
-    _Opt("gamma", _float, required=True, help="target average run length"),
-    _Opt("window", _int, help="window length (default: rounded optimal)"),
+    _Opt("nodes", int, help="total node count (default: sum of sizes)"),
+    _Opt("sigma", float, default=1.0, help="noise level (default 1.0)"),
+    _Opt("gamma", float, required=True, help="target average run length"),
+    _Opt("window", int, help="window length (default: rounded optimal)"),
     _SEED,
     _OUT,
 )
@@ -178,7 +170,7 @@ _BENCH_OPTS = (
 
 _XCORR_OPTS = (
     _Opt("input", positional=True, required=True, help="sensor CSV file"),
-    _Opt("segment", _int, required=True, help="samples per correlation segment"),
+    _Opt("segment", int, required=True, help="samples per correlation segment"),
     _SEED,
     _OUT,
 )

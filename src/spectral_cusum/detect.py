@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -114,7 +114,7 @@ class DetectorConfig:
     b is the alarm threshold (statistic >= b stops the run). The spectral and
     top1 methods need a window length w and a drift d; d defaults to m/2, the
     midpoint of the admissible interval (0, m). The exact method needs the
-    true indicator matrix A; sigma is carried only for likelihood reporting.
+    true indicator matrix A.
     """
 
     method: str
@@ -122,7 +122,6 @@ class DetectorConfig:
     m: int | None = None
     w: int | None = None
     d: float | None = None
-    sigma: float | None = None
     A: IndicatorMatrix | None = None
 
     def __post_init__(self):
@@ -145,6 +144,13 @@ class DetectorConfig:
         if not self.d > 0:
             raise ValueError("drift d must be positive")
 
+    @property
+    def lag(self) -> int:
+        """Steps between a scored snapshot and the alarm it can raise: 0 for
+        exact, which scores each snapshot on arrival; w for the windowed
+        methods, which score it once the w snapshots after it have arrived."""
+        return 0 if self.method == EXACT else self.w
+
 
 @dataclass(frozen=True)
 class DetectionResult:
@@ -156,24 +162,22 @@ class DetectionResult:
     config: DetectorConfig
 
 
-def run_detector(stream, config: DetectorConfig, horizon: int | None = None) -> DetectionResult:
-    """Run one detector over a snapshot stream until alarm or exhaustion.
+def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float, float]]:
+    """Yield (scored index, increment, statistic) for each scored snapshot.
 
-    The stream may be any iterable of snapshots; at most `horizon` snapshots
-    are consumed when given. Spectral/top1 runs shorter than w+1 snapshots
-    score nothing and return an empty trajectory with no alarm. A non-finite
+    The generator runs the recursion over the whole stream and never stops
+    at config.b; run_detector is its consumer that stops there. Exact scores
+    each snapshot on arrival; spectral and top1 score a snapshot once the w
+    snapshots after it have arrived, so the first w snapshots yield nothing
+    and a stream of at most w snapshots yields nothing at all. A non-finite
     window mean or increment, or a failed eigensolve, raises NumericalError:
     it would stop the statistic from alarming. Finite weights can get there
-    by overflowing.
+    by overflowing. The generator sets no numpy error state of its own, so a
+    caller that wants overflow silenced wraps its loop in np.errstate.
     """
-    if horizon is not None and horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if config.method in (SPECTRAL, TOP1) and horizon is not None and horizon <= config.w:
-        raise ValueError(f"horizon must exceed the window length w={config.w}")
-    snaps = stream if horizon is None else islice(stream, horizon)
     # exact scores each snapshot on arrival; the windowed methods score the
     # snapshot that leaves a full window against the w snapshots after it
-    lag = 0 if config.method == EXACT else config.w
+    lag = config.lag
     if lag:
         window = WindowBuffer(lag)
     else:
@@ -181,32 +185,54 @@ def run_detector(stream, config: DetectorConfig, horizon: int | None = None) -> 
         mm_flat = mm.ravel()
         offset = _trace_with_symmetric(mm, mm)
     statistic = 0.0
+    for snap in stream:
+        if lag:
+            g = window.push(snap)
+            if g is None:
+                continue
+            try:
+                est = estimate_subspace(window, config.m)
+            except (NumericalError, np.linalg.LinAlgError) as err:
+                raise NumericalError(f"window after t={g.t}: {err}") from err
+            if config.method == TOP1:
+                inc = top1_increment(g, est.eigenvectors[:, 0], config.d)
+            else:
+                inc = spectral_increment(g, projector(est), config.d)
+        else:
+            g = snap
+            inc = 2.0 * float(np.dot(g.weights.ravel(), mm_flat)) - offset
+        if not math.isfinite(inc):
+            raise NumericalError(f"non-finite increment {inc} at t={g.t}")
+        statistic = cusum_update(statistic, inc)
+        yield g.t, inc, statistic
+
+
+def run_detector(stream, config: DetectorConfig, horizon: int | None = None) -> DetectionResult:
+    """Run one detector over a snapshot stream until alarm or exhaustion.
+
+    The stream may be any iterable of snapshots; at most `horizon` snapshots
+    are consumed when given, and none past the alarm. Spectral/top1 runs
+    shorter than w+1 snapshots score nothing and return an empty trajectory
+    with no alarm. The statistic is iter_statistic's, so its NumericalError
+    on data that overflows or goes non-finite propagates from here.
+    """
+    lag = config.lag
+    b = config.b
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if lag and horizon is not None and horizon <= lag:
+        raise ValueError(f"horizon must exceed the window length w={lag}")
+    snaps = stream if horizon is None else islice(stream, horizon)
     stop_time = None
     trajectory: list[tuple[int, float]] = []
     # overflow shows up as a non-finite window mean or increment, which the
-    # loop checks and raises on, so numpy need not warn about it first
+    # generator checks and raises on, so numpy need not warn about it first;
+    # the state is set here, around the loop, not inside the generator, where
+    # each yield would hand the caller the silenced state
     with np.errstate(over="ignore", invalid="ignore"):
-        for snap in snaps:
-            if lag:
-                g = window.push(snap)
-                if g is None:
-                    continue
-                try:
-                    est = estimate_subspace(window, config.m)
-                except (NumericalError, np.linalg.LinAlgError) as err:
-                    raise NumericalError(f"window after t={g.t}: {err}") from err
-                if config.method == TOP1:
-                    inc = top1_increment(g, est.eigenvectors[:, 0], config.d)
-                else:
-                    inc = spectral_increment(g, projector(est), config.d)
-            else:
-                g = snap
-                inc = 2.0 * float(np.dot(g.weights.ravel(), mm_flat)) - offset
-            if not math.isfinite(inc):
-                raise NumericalError(f"non-finite increment {inc} at t={g.t}")
-            statistic = cusum_update(statistic, inc)
-            trajectory.append((g.t, statistic))
-            if statistic >= config.b:
-                stop_time = g.t + lag
+        for t, _, statistic in iter_statistic(snaps, config):
+            trajectory.append((t, statistic))
+            if statistic >= b:
+                stop_time = t + lag
                 break
     return DetectionResult(stop_time=stop_time, trajectory=trajectory, config=config)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detect import EXACT, DetectionResult
+from .detect import DetectionResult
 from .graph_model import GraphSnapshot
 
 
@@ -141,7 +141,7 @@ def write_trace(result: DetectionResult, path_or_file) -> int:
     index plus window lag for the windowed methods); alarmed flags rows at or
     above the threshold.
     """
-    lag = 0 if result.config.method == EXACT else result.config.w
+    lag = result.config.lag
     with _opened(path_or_file, "w") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "statistic", "alarmed"])

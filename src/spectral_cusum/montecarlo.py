@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .detect import EXACT, SPECTRAL, TOP1, DetectorConfig, run_detector
+from .detect import EXACT, SPECTRAL, DetectorConfig, iter_statistic, run_detector
 from .graph_model import (
     _CACHE_MAXSIZE,
     SYMMETRIC,
@@ -30,7 +30,6 @@ from .graph_model import (
     mean_matrix,
     rng_from_key,
 )
-from .spectral import WindowBuffer, estimate_subspace, projector
 from .theory import ValidityError, drift_for_delta
 
 _CHUNK = 512
@@ -59,7 +58,7 @@ class McPlan:
             raise ValueError("need at least one replication")
         if self.cap < 1:
             raise ValueError("cap must be at least 1")
-        if self.detector.method in (SPECTRAL, TOP1) and self.cap <= self.detector.w:
+        if self.cap <= self.detector.lag:
             raise ValueError("cap must exceed the window length")
 
 
@@ -133,7 +132,7 @@ def _rep_path(plan: McPlan, rep: int) -> np.ndarray:
     rng = rng_from_key(plan.master_seed, rep)
     if plan.detector.method != EXACT:
         stream = iter_stream(plan.scenario, rng=rng, horizon=plan.cap)
-        result = run_detector(stream, plan.detector, horizon=plan.cap)
+        result = run_detector(stream, plan.detector)
         return np.array([s for _, s in result.trajectory])
     coef, offset = _exact_coefficients(plan.scenario.assignment, plan.scenario.convention)
     sigma = plan.scenario.sigma
@@ -175,7 +174,7 @@ def _rep_alarm(plan: McPlan, rep: int) -> int | None:
     """Wall-clock alarm time of one replication (None if it hit the cap)."""
     path = _rep_path(plan, rep)
     if path[-1] >= plan.detector.b:
-        return path.size + (0 if plan.detector.method == EXACT else plan.detector.w)
+        return path.size + plan.detector.lag
     return None
 
 
@@ -226,7 +225,7 @@ def calibrate_threshold(
     double budget with fresh replication ids must land within rel_tol of the
     target, with fewer than 1% of its runs truncated.
     """
-    if target_gamma < 10:
+    if not target_gamma >= 10:
         raise ValueError("target run length must be at least 10")
     if not 0 < rel_tol < 0.5:
         raise ValueError("rel_tol must be in (0, 0.5)")
@@ -237,7 +236,7 @@ def calibrate_threshold(
             f"cap {plan.cap} is too small to observe run lengths near "
             f"{target_gamma}: need cap >= 10 * target"
         )
-    lag = 0 if plan.detector.method == EXACT else plan.detector.w
+    lag = plan.detector.lag
     reach = -math.inf
     runmaxes: list[np.ndarray] = []
 
@@ -367,24 +366,22 @@ def estimate_drift_mc(
 
     Each replication draws one scored snapshot plus the window of w snapshots
     strictly after it, so the snapshot is independent of the estimated
-    projector, matching how the detector scores. The scenario's tau is
+    projector, and scores it with the spectral detector's own statistic:
+    tr(G P) is the first increment plus the drift d. The scenario's tau is
     replaced internally (no change for the pre phase, immediate change for
     post).
     """
     if replications < 1:
         raise ValueError("need at least one replication")
+    cfg = DetectorConfig(method=SPECTRAL, b=math.inf, m=m, w=w)
     means = {}
     for phase, tau in (("pre", None), ("post", 0)):
         sc = replace(scenario, tau=tau, horizon=w + 1)
         vals = np.empty(replications)
         for i in range(replications):
             rng = rng_from_key(master_seed, 2 * i + (0 if phase == "pre" else 1))
-            snaps = list(iter_stream(sc, rng=rng, horizon=w + 1))
-            buf = WindowBuffer(w)
-            for s in snaps[1:]:
-                buf.push(s)
-            p = projector(estimate_subspace(buf, m))
-            vals[i] = float(np.dot(snaps[0].weights.ravel(), p.ravel()))
+            _, inc, _ = next(iter_statistic(iter_stream(sc, rng=rng), cfg))
+            vals[i] = inc + cfg.d
         se = float(vals.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
         means[phase] = McEstimate(
             mean=float(vals.mean()), se=se, used=replications, truncated=0

@@ -203,7 +203,7 @@ def test_criterion_07_calibration_confirms_and_threshold_tracks_log_target():
     start = time.perf_counter()
     asg = assignment_from_sizes((2, 1))
     scenario = StreamScenario(assignment=asg, sigma=1.0, tau=None, horizon=1)
-    detector = DetectorConfig(method=EXACT, b=1.0, A=build_indicator(asg), sigma=1.0)
+    detector = DetectorConfig(method=EXACT, b=1.0, A=build_indicator(asg))
     plan = McPlan(scenario=scenario, detector=detector, replications=2000, cap=5000, master_seed=0)
 
     b50 = calibrate_threshold(plan, 50.0)
@@ -273,7 +273,7 @@ def test_criterion_08_oracle_delay_is_no_worse_at_matched_false_alarm_rate():
     asg = assignment_from_sizes((12, 6))
     quiet = StreamScenario(assignment=asg, sigma=1.0, tau=None, horizon=1)
     changed = replace(quiet, tau=0)
-    exact_det = DetectorConfig(method=EXACT, b=1e-9, A=build_indicator(asg), sigma=1.0)
+    exact_det = DetectorConfig(method=EXACT, b=1e-9, A=build_indicator(asg))
     spectral_det = DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=10)
 
     floor_probe = estimate_arl(

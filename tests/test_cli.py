@@ -305,6 +305,20 @@ class TestCalibrateAndBench:
         assert len(rows) == 3
         assert float(rows[1][1]) < float(rows[2][1])
 
+    def test_non_integer_reps_name_the_int_type(self, tmp_path, capsys):
+        code = main(
+            [
+                "calibrate",
+                "--target", "15",
+                "--sizes", "2,1",
+                "--method", "exact",
+                "--reps", "x",
+                "--out", str(tmp_path / "cal.json"),
+            ]
+        )
+        assert code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+
     def test_bench_rejects_unsorted_gammas(self, tmp_path):
         code = main(
             [

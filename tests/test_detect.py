@@ -23,6 +23,7 @@ from spectral_cusum import (
     cusum_maxform,
     cusum_update,
     exact_increment,
+    iter_statistic,
     iter_stream,
     log_likelihood_ratio,
     make_stream,
@@ -252,12 +253,13 @@ class TestRunDetector:
         assert stops[0] <= stops[1] <= stops[2]
 
 
-def longhand_run(snaps, cfg):
+def longhand_run(snaps, cfg, increments=None):
     """The detector loop spelled out as the oracle for run_detector.
 
     A separate deque holds the last w+1 snapshots (one for exact); the oldest
     is scored against the rest, whose mean comes from np.add.reduce, then
-    top_m_eigs, the projector and an entrywise dot.
+    top_m_eigs, the projector and an entrywise dot. Each increment is
+    appended to `increments` when a list is given.
     """
     lag = 0 if cfg.method == EXACT else cfg.w
     mm = mean_matrix(cfg.A) if cfg.method == EXACT else None
@@ -280,6 +282,8 @@ def longhand_run(snaps, cfg):
             else:
                 p = projector(est)
                 inc = float(np.dot(g.weights.ravel(), p.ravel())) - cfg.d
+        if increments is not None:
+            increments.append(inc)
         s = max(s, 0.0) + inc
         trajectory.append((g.t, s))
         if s >= cfg.b:
@@ -322,6 +326,63 @@ class TestRunDetectorMatchesTheLonghandLoop:
             res = run_detector(stream, cfg)
             assert res.stop_time == want_stop
             assert res.trajectory == want_traj
+
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    @pytest.mark.parametrize("method", [SPECTRAL, TOP1, EXACT])
+    def test_generator_yields_the_longhand_increments(self, method, convention):
+        """At b = +inf the generator's (t, statistic) pairs are run_detector's
+        whole trajectory, and its increments are the longhand loop's."""
+        sc = self.scenario(convention)
+        cfg = self.config(method, math.inf)
+        snaps = make_stream(sc)
+        want_incs = []
+        _, want_traj = longhand_run(snaps, cfg, want_incs)
+        got = list(iter_statistic(iter_stream(sc), cfg))
+        assert [(t, s) for t, _, s in got] == want_traj == run_detector(snaps, cfg).trajectory
+        assert [inc for _, inc, _ in got] == want_incs
+        assert len(got) == len(snaps) - cfg.lag
+
+    @pytest.mark.parametrize("method", [SPECTRAL, TOP1, EXACT])
+    def test_generator_keeps_yielding_past_the_threshold(self, method):
+        snaps = make_stream(self.scenario(SYMMETRIC))
+        cfg = self.config(method, 10.0)
+        res = run_detector(snaps, cfg)
+        got = list(iter_statistic(snaps, cfg))
+        assert res.stop_time is not None
+        assert [(t, s) for t, _, s in got[: len(res.trajectory)]] == res.trajectory
+        assert len(got) == len(snaps) - cfg.lag > len(res.trajectory)
+        assert got == list(iter_statistic(snaps, self.config(method, math.inf)))
+
+    def test_interleaved_generators_leave_the_error_state_alone(self):
+        """iter_statistic sets no numpy error state of its own. Two generators
+        pulled in turn, then run into data whose sums overflow, leave
+        np.geterr() as their caller set it after every pull and after both
+        close."""
+        snaps = make_stream(self.scenario(SYMMETRIC))
+        snaps[6] = GraphSnapshot(t=7, n=8, weights=np.full((8, 8), 1e308))
+        before = np.geterr()
+        gens = [
+            iter_statistic(snaps, self.config(method, math.inf)) for method in (EXACT, SPECTRAL)
+        ]
+        for gen in gens:
+            next(gen)
+            assert np.geterr() == before
+        with np.errstate(over="ignore", invalid="ignore"):
+            inside = np.geterr()
+            for gen in gens:
+                with pytest.raises(NumericalError, match="non-finite"):
+                    for _ in gen:
+                        assert np.geterr() == inside
+                assert np.geterr() == inside
+        assert np.geterr() == before
+        pending = [
+            iter_statistic(snaps, self.config(method, math.inf)) for method in (TOP1, EXACT)
+        ]
+        for gen in pending:
+            next(gen)
+        for gen in pending:
+            gen.close()
+            assert np.geterr() == before
 
     @pytest.mark.parametrize("method", [SPECTRAL, EXACT])
     def test_non_finite_increment_raises(self, method):

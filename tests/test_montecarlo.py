@@ -27,6 +27,7 @@ from spectral_cusum import (
     McPlan,
     StreamScenario,
     ValidityError,
+    WindowBuffer,
     assignment_from_sizes,
     build_indicator,
     calibrate_threshold,
@@ -34,9 +35,11 @@ from spectral_cusum import (
     estimate_arl,
     estimate_drift_mc,
     estimate_edd,
+    estimate_subspace,
     iter_stream,
     mean_matrix,
     oc_curve,
+    projector,
     rng_from_key,
     run_detector,
     verify_equalizer_mc,
@@ -393,6 +396,13 @@ class TestCalibration:
         with pytest.raises(ValueError):
             calibrate_threshold(plan, 20.0, rel_tol=0.6)
 
+    def test_rejects_a_nan_target(self):
+        plan = McPlan(h0_scenario(), exact_detector(2.0), replications=50, cap=200)
+        with pytest.raises(ValueError, match="at least 10"):
+            calibrate_threshold(plan, math.nan)
+        with pytest.raises(ValueError, match="at least 10"):
+            oc_curve(plan, [math.nan])
+
     def test_rejects_a_cap_too_small_to_observe_the_target(self):
         plan = McPlan(h0_scenario(), exact_detector(2.0), replications=50, cap=120)
         with pytest.raises(CalibrationError):
@@ -536,7 +546,60 @@ class TestOcCurve:
         assert exact_row.edd <= spectral_row.edd + 2.0 * pooled
 
 
+def window_buffer_drift(scenario, m, w, replications, master_seed=0):
+    """Slow twin of estimate_drift_mc: each replication fills a WindowBuffer
+    with the w snapshots after the first and dots the first snapshot with the
+    window's projector, instead of scoring through the detector's statistic.
+    Returns {phase: (mean, se)}."""
+    means = {}
+    for phase, tau in (("pre", None), ("post", 0)):
+        sc = replace(scenario, tau=tau, horizon=w + 1)
+        vals = np.empty(replications)
+        for i in range(replications):
+            rng = rng_from_key(master_seed, 2 * i + (0 if phase == "pre" else 1))
+            snaps = list(iter_stream(sc, rng=rng, horizon=w + 1))
+            buf = WindowBuffer(w)
+            for s in snaps[1:]:
+                buf.push(s)
+            p = projector(estimate_subspace(buf, m))
+            vals[i] = float(np.dot(snaps[0].weights.ravel(), p.ravel()))
+        se = float(vals.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
+        means[phase] = (float(vals.mean()), se)
+    return means
+
+
 class TestDriftMc:
+    @pytest.mark.parametrize(
+        "sizes,n,sigma,convention",
+        [
+            ((), 8, 1.0, SYMMETRIC),
+            ((12, 6), None, 1.0, SYMMETRIC),
+            ((3, 2), 8, 0.7, IID_FULL),
+            ((12, 6), None, 0.0, SYMMETRIC),
+            ((3, 2), 8, 0.0, IID_FULL),
+        ],
+    )
+    @pytest.mark.parametrize("m,w", [(2, 5), (1, 3)])
+    def test_matches_the_window_buffer_twin(self, sizes, n, sigma, convention, m, w):
+        """Scoring through iter_statistic adds d back to the increment, which
+        may move a value by an ulp; noiseless values are exact."""
+        sc = StreamScenario(
+            assignment=assignment_from_sizes(sizes, n=n),
+            sigma=sigma,
+            tau=None,
+            horizon=1,
+            convention=convention,
+        )
+        res = estimate_drift_mc(sc, m=m, w=w, replications=40, master_seed=9)
+        want = window_buffer_drift(sc, m, w, 40, master_seed=9)
+        for est, (mean, se) in ((res.pre, want["pre"]), (res.post, want["post"])):
+            assert est.used == 40 and est.truncated == 0
+            if sigma == 0:
+                assert (est.mean, est.se) == (mean, se)
+            else:
+                assert est.mean == pytest.approx(mean, rel=1e-12)
+                assert est.se == pytest.approx(se, rel=1e-12)
+
     def test_pure_noise_projection_has_no_drift(self):
         sc = StreamScenario(
             assignment=assignment_from_sizes((), n=8), sigma=1.0, tau=None, horizon=1
