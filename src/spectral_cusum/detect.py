@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -207,22 +206,17 @@ def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float,
         yield g.t, inc, statistic
 
 
-def run_detector(stream, config: DetectorConfig, horizon: int | None = None) -> DetectionResult:
+def run_detector(stream, config: DetectorConfig) -> DetectionResult:
     """Run one detector over a snapshot stream until alarm or exhaustion.
 
-    The stream may be any iterable of snapshots; at most `horizon` snapshots
-    are consumed when given, and none past the alarm. Spectral/top1 runs
+    The stream may be any iterable of snapshots; none past the alarm is
+    consumed, so a stream cut to length bounds the run. Spectral/top1 runs
     shorter than w+1 snapshots score nothing and return an empty trajectory
     with no alarm. The statistic is iter_statistic's, so its NumericalError
     on data that overflows or goes non-finite propagates from here.
     """
     lag = config.lag
     b = config.b
-    if horizon is not None and horizon < 1:
-        raise ValueError("horizon must be at least 1")
-    if lag and horizon is not None and horizon <= lag:
-        raise ValueError(f"horizon must exceed the window length w={lag}")
-    snaps = stream if horizon is None else islice(stream, horizon)
     stop_time = None
     trajectory: list[tuple[int, float]] = []
     # overflow shows up as a non-finite window mean or increment, which the
@@ -230,7 +224,7 @@ def run_detector(stream, config: DetectorConfig, horizon: int | None = None) -> 
     # the state is set here, around the loop, not inside the generator, where
     # each yield would hand the caller the silenced state
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, _, statistic in iter_statistic(snaps, config):
+        for t, _, statistic in iter_statistic(stream, config):
             trajectory.append((t, statistic))
             if statistic >= b:
                 stop_time = t + lag

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -218,7 +219,7 @@ class MultichannelSeries:
 
 def read_sensor_csv(path_or_file, segment: int) -> MultichannelSeries:
     """Read a sensor CSV: a header row of channel names, then one row of
-    float samples per tick."""
+    finite float samples per tick."""
     with _opened(path_or_file, "r") as fh:
         name = _name_of(fh)
         reader = csv.reader(fh)
@@ -238,11 +239,14 @@ def read_sensor_csv(path_or_file, segment: int) -> MultichannelSeries:
                     f"{name}: line {lineno}: expected {len(names)} values, got {len(row)}"
                 )
             try:
-                rows.append([float(x) for x in row])
+                vals = [float(x) for x in row]
             except ValueError:
                 raise StreamFormatError(
                     f"{name}: line {lineno}: non-numeric value"
                 ) from None
+            if not all(map(math.isfinite, vals)):
+                raise StreamFormatError(f"{name}: line {lineno}: non-finite value")
+            rows.append(vals)
         values = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
         return MultichannelSeries(names=tuple(names), values=values, segment=segment)
 

@@ -76,7 +76,7 @@ class CalibrationError(RuntimeError):
     """Threshold calibration could not reach the target run length."""
 
 
-def _summarize(times: list[int | None]) -> McEstimate:
+def _summarize(times: list[float | None]) -> McEstimate:
     alarmed = np.array([t for t in times if t is not None], dtype=float)
     truncated = len(times) - alarmed.size
     if alarmed.size == 0:
@@ -374,19 +374,17 @@ def estimate_drift_mc(
     if replications < 1:
         raise ValueError("need at least one replication")
     cfg = DetectorConfig(method=SPECTRAL, b=math.inf, m=m, w=w)
-    means = {}
-    for phase, tau in (("pre", None), ("post", 0)):
+
+    def phase(tau, offset: int) -> McEstimate:
         sc = replace(scenario, tau=tau, horizon=w + 1)
-        vals = np.empty(replications)
+        vals = []
         for i in range(replications):
-            rng = rng_from_key(master_seed, 2 * i + (0 if phase == "pre" else 1))
+            rng = rng_from_key(master_seed, 2 * i + offset)
             _, inc, _ = next(iter_statistic(iter_stream(sc, rng=rng), cfg))
-            vals[i] = inc + cfg.d
-        se = float(vals.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
-        means[phase] = McEstimate(
-            mean=float(vals.mean()), se=se, used=replications, truncated=0
-        )
-    return DriftMcResult(pre=means["pre"], post=means["post"])
+            vals.append(inc + cfg.d)
+        return _summarize(vals)
+
+    return DriftMcResult(pre=phase(None, 0), post=phase(0, 1))
 
 
 def verify_equalizer_mc(

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_model import IndicatorMatrix
+from .graph_model import IndicatorMatrix, assignment_from_sizes, build_indicator
 
 
 class ValidityError(ValueError):
@@ -74,48 +74,23 @@ def coupling_matrix(spec: Spectrum) -> np.ndarray:
     eigenvector i; the diagonal is unused and left at zero.
     """
     lam = np.asarray(spec.eigenvalues)
-    m = lam.size
-    out = np.zeros((m, m))
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                out[i, j] = lam[i] * lam[j] / (lam[i] - lam[j]) ** 2
-    return out
+    gap = lam[:, None] - lam[None, :]
+    np.fill_diagonal(gap, np.inf)
+    return np.outer(lam, lam) / (gap * gap)
 
 
 def bias_constant(coupling: np.ndarray) -> float:
     """Second-order constant C in the pre/post drift expansion.
 
-    C = sum_i sum_{j != i} ( sum_{k != j} M_ij M_kj + 2 M_ij^2 ), the exact
-    triple sum; the window-mean estimate biases the post-change drift to
-    m - C / w^2.
+    C = sum_i sum_{j != i} ( sum_{k != j} M_ij M_kj + 2 M_ij^2 ); the
+    window-mean estimate biases the post-change drift to m - C / w^2. With
+    s_j the off-diagonal sum of column j, the triple sum is
+    sum_j s_j^2 + 2 ||M_off||_F^2, which is how it is evaluated.
     """
-    m_mat = np.asarray(coupling, dtype=float)
-    m = m_mat.shape[0]
-    total = 0.0
-    for i in range(m):
-        for j in range(m):
-            if j == i:
-                continue
-            inner = 0.0
-            for k in range(m):
-                if k != j:
-                    inner += m_mat[i, j] * m_mat[k, j]
-            total += inner + 2.0 * m_mat[i, j] ** 2
-    return total
-
-
-@dataclass(frozen=True)
-class PerturbationConstants:
-    """The coupling matrix and its scalar summary C for one spectrum."""
-
-    coupling: np.ndarray
-    c: float
-
-
-def perturbation_constants(spec: Spectrum) -> PerturbationConstants:
-    coupling = coupling_matrix(spec)
-    return PerturbationConstants(coupling=coupling, c=bias_constant(coupling))
+    off = np.array(coupling, dtype=float)
+    np.fill_diagonal(off, 0.0)
+    s = off.sum(axis=0)
+    return float(s @ s + 2.0 * np.sum(off * off))
 
 
 def bias_bound(coupling: np.ndarray) -> float:
@@ -169,9 +144,7 @@ def delta_star(m: int, c: float, w: int, sigma: float) -> float:
     """Delay-minimizing tilt (m - C/w^2) / sigma^2 for a fixed window."""
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    if w < 1:
-        raise ValueError("window length must be at least 1")
-    drift = m - c / (w * w)
+    drift = expected_drift_post(m, c, w)
     if drift <= 0:
         raise ValidityError(
             f"delta_star undefined: m - C/w^2 = {drift:.6g} is not positive "
@@ -183,7 +156,8 @@ def delta_star(m: int, c: float, w: int, sigma: float) -> float:
 def edd_denominator(delta: float, m: int, c: float, w: int, sigma: float) -> float:
     """Denominator 2 delta (m - C/w^2) - sigma^2 delta^2 - 2m of the spectral
     delay approximation; must be positive for the approximation to apply."""
-    return 2.0 * delta * (m - c / (w * w)) - sigma * sigma * delta * delta - 2.0 * m
+    drift = expected_drift_post(m, c, w)
+    return 2.0 * delta * drift - sigma * sigma * delta * delta - 2.0 * m
 
 
 def edd_spectral_approx(gamma: float, delta: float, m: int, c: float, w: float, sigma: float) -> float:
@@ -207,29 +181,11 @@ def edd_at_optimal_tilt(gamma: float, m: int, c: float, w: float, sigma: float) 
     """Spectral delay approximation with the tilt already optimized per window:
     2 ln(gamma) / ((m/sigma - C/(sigma w^2))^2 - 2m) + w.
 
-    This is the curve the optimal window minimizes; substituting the
-    delay-minimizing tilt into the general approximation collapses its
-    denominator to this square form.
+    This is the curve the optimal window minimizes. It is computed as the
+    general approximation at the delay-minimizing tilt, whose denominator
+    collapses to this square form.
     """
-    if gamma <= 1:
-        raise ValueError("gamma must exceed 1")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    if w <= 0:
-        raise ValueError("window length must be positive")
-    q = m / sigma - c / (sigma * w * w)
-    if q <= 0:
-        raise ValidityError(
-            f"optimal tilt inadmissible: m - C/w^2 = {q * sigma:.6g} is not "
-            f"positive (window too short for this spectrum)"
-        )
-    denom = q * q - 2.0 * m
-    if denom <= 0:
-        raise ValidityError(
-            f"asymptotic regime invalid for these parameters: delay "
-            f"denominator {denom:.6g} is not positive"
-        )
-    return 2.0 * math.log(gamma) / denom + w
+    return edd_spectral_approx(gamma, delta_star(m, c, w, sigma), m, c, w, sigma)
 
 
 def edd_exact_approx(gamma: float, a: IndicatorMatrix, sigma: float) -> float:
@@ -243,10 +199,21 @@ def edd_exact_approx(gamma: float, a: IndicatorMatrix, sigma: float) -> float:
     """
     if gamma <= 1:
         raise ValueError("gamma must exceed 1")
-    energy = sum(s * s for s in a.sizes)
-    if energy == 0:
+    info = kl_info(a, sigma)
+    if info == 0:
         raise ValidityError("all-background assignment carries no signal")
-    return 2.0 * sigma * sigma * math.log(gamma) / energy
+    return math.log(gamma) / info
+
+
+def _singular_denominator(m: int, sigma: float, what: str) -> float:
+    """The denominator m^2/sigma - 2m shared by the window and ratio formulas,
+    which both break down where it vanishes (sigma = m/2)."""
+    denom = m * m / sigma - 2.0 * m
+    if denom == 0:
+        raise ValidityError(
+            f"{what} undefined at sigma = m/2 = {m / 2}: singular denominator"
+        )
+    return denom
 
 
 def optimal_window(gamma: float, m: int, c: float, sigma: float) -> float:
@@ -257,11 +224,7 @@ def optimal_window(gamma: float, m: int, c: float, sigma: float) -> float:
         raise ValueError("sigma must be positive")
     if c < 0:
         raise ValueError("C must be nonnegative")
-    denom = m * m / sigma - 2.0 * m
-    if denom == 0:
-        raise ValidityError(
-            f"optimal window undefined at sigma = m/2 = {m / 2}: singular denominator"
-        )
+    denom = _singular_denominator(m, sigma, "optimal window")
     return 2.0 * (math.log(gamma) * m * c / (denom * denom)) ** (1.0 / 3.0)
 
 
@@ -295,11 +258,7 @@ def optimality_ratio(gamma: float, m: int, c: float, n: int, sigma: float) -> fl
         raise ValueError("n must be nonnegative")
     if sigma <= 0:
         raise ValueError("sigma must be positive")
-    denom = m * m / sigma - 2.0 * m
-    if denom == 0:
-        raise ValidityError(
-            f"optimality ratio undefined at sigma = m/2 = {m / 2}: singular denominator"
-        )
+    denom = _singular_denominator(m, sigma, "optimality ratio")
     return 1.0 + (
         math.log(gamma) ** (-2.0 / 3.0)
         * (m * c) ** (1.0 / 3.0)
@@ -328,44 +287,9 @@ def eigenvector_sampling_covariance(
         raise ValueError(f"need at least {m} eigenvector columns")
     if not 1 <= i <= m:
         raise ValueError(f"need 1 <= i <= m, got i={i}")
-    coupling = coupling_matrix(spec)
-    n = u.shape[0]
-    cov = np.zeros((n, n))
-    for k in range(1, m + 1):
-        if k == i:
-            continue
-        uk = u[:, k - 1]
-        cov += (coupling[k - 1, i - 1] / w) * np.outer(uk, uk)
-    return cov
-
-
-@dataclass(frozen=True)
-class DesignPoint:
-    """One fully solved design: target ARL, tilt, drift, window, the resulting
-    delay approximation, and the delay ratio to the exact oracle."""
-
-    gamma: float
-    delta: float
-    d: float
-    w: float
-    edd: float
-    ratio: float
-
-
-def design_point(gamma: float, m: int, c: float, sigma: float, n: int) -> DesignPoint:
-    """Solve the full design chain at the optimal window.
-
-    Computes w*, the tilt delta* at w*, the paired drift, the delay
-    approximation, and the optimality ratio; raises ValidityError as soon as
-    any step leaves its domain.
-    """
-    w_star = optimal_window(gamma, m, c, sigma)
-    w_int = max(1, round(w_star))
-    delta = delta_star(m, c, w_int, sigma)
-    d = optimal_drift(w_star, m, c, sigma)
-    edd = edd_spectral_approx(gamma, delta, m, c, w_int, sigma)
-    ratio = optimality_ratio(gamma, m, c, n, sigma)
-    return DesignPoint(gamma=gamma, delta=delta, d=d, w=w_star, edd=edd, ratio=ratio)
+    # the coupling's zero diagonal drops the k = i term
+    top = u[:, :m]
+    return (top * (coupling_matrix(spec)[:, i - 1] / w)) @ top.T
 
 
 def theory_report(
@@ -379,12 +303,13 @@ def theory_report(
 
     Fields outside their validity domain carry null values plus a reason in
     the "validity" map; a degenerate spectrum makes nothing computable and
-    raises instead.
+    raises instead. An explicit window below 1 is a usage error.
     """
-    from .graph_model import assignment_from_sizes, build_indicator
-
+    if window is not None and not window >= 1:
+        raise ValueError(f"window length must be at least 1, got {window}")
     spec = spectrum_from_sizes(sizes)
-    consts = perturbation_constants(spec)
+    coupling = coupling_matrix(spec)
+    c = bias_constant(coupling)
     m = spec.m
     if n is None:
         n = sum(int(s) for s in sizes)
@@ -396,8 +321,8 @@ def theory_report(
         "gamma": float(gamma),
         "n": int(n),
         "lambda": list(spec.eigenvalues),
-        "M": consts.coupling.tolist(),
-        "C": consts.c,
+        "M": coupling.tolist(),
+        "C": c,
         "I0": kl_info(a, sigma),
         "edd_exact": edd_exact_approx(gamma, a, sigma),
     }
@@ -414,7 +339,7 @@ def theory_report(
         validity[field] = {"ok": True, "reason": None}
         return value
 
-    w_star = attempt("w_star", lambda: optimal_window(gamma, m, consts.c, sigma))
+    w_star = attempt("w_star", lambda: optimal_window(gamma, m, c, sigma))
     if window is not None:
         w_used: float | None = float(window)
     else:
@@ -426,17 +351,17 @@ def theory_report(
             report[field] = None
             validity[field] = {"ok": False, "reason": "no window available"}
     else:
-        w_int = max(1, round(w_used))
-        delta = attempt("delta_star", lambda: delta_star(m, consts.c, w_int, sigma))
-        attempt("d_star", lambda: optimal_drift(w_used, m, consts.c, sigma))
+        w_int = round(w_used)
+        delta = attempt("delta_star", lambda: delta_star(m, c, w_int, sigma))
+        attempt("d_star", lambda: optimal_drift(w_used, m, c, sigma))
         if delta is None:
             report["edd_spectral"] = None
             validity["edd_spectral"] = {"ok": False, "reason": "delta_star unavailable"}
         else:
             attempt(
                 "edd_spectral",
-                lambda: edd_spectral_approx(gamma, delta, m, consts.c, w_int, sigma),
+                lambda: edd_spectral_approx(gamma, delta, m, c, w_int, sigma),
             )
-    attempt("ratio", lambda: optimality_ratio(gamma, m, consts.c, n, sigma))
+    attempt("ratio", lambda: optimality_ratio(gamma, m, c, n, sigma))
     report["validity"] = validity
     return report

@@ -251,6 +251,14 @@ class TestTheory:
         report = json.loads(capsys.readouterr().out)
         assert report["sizes"] == [12, 6]
 
+    @pytest.mark.parametrize("window", ["0", "-5"])
+    def test_window_below_one_is_a_usage_error(self, window, capsys):
+        args = ["theory", "--sizes", "12,6", "--sigma", "0.25", "--gamma", "1000"]
+        assert main(args + ["--window", window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "window length must be at least 1" in captured.err
+
 
 class TestCalibrateAndBench:
     def test_calibrate_writes_a_threshold_report(self, tmp_path):
@@ -345,6 +353,14 @@ class TestXcorr:
         lines = [json.loads(line) for line in out.read_text().splitlines()]
         assert [rec["t"] for rec in lines] == [1, 2, 3]
         assert all(rec["n"] == 3 for rec in lines)
+
+    def test_non_finite_sample_is_a_format_error(self, tmp_path, capsys):
+        sensors = tmp_path / "sensors.csv"
+        sensors.write_text("a,b\n1,2\n3,nan\n5,6\n7,9\n")
+        out = tmp_path / "stream.ndjson"
+        assert main(["xcorr", str(sensors), "--segment", "2", "--out", str(out)]) == 3
+        assert "line 3: non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_segment_is_a_usage_error(self, tmp_path):
         sensors = tmp_path / "sensors.csv"

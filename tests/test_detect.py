@@ -219,17 +219,6 @@ class TestRunDetector:
         assert res.stop_time is None
         assert res.trajectory == []
 
-    def test_horizon_truncates_the_stream(self):
-        cfg = DetectorConfig(method=EXACT, b=1e9, A=A21)
-        res = run_detector(iter(degenerate_stream(50)), cfg, horizon=7)
-        assert len(res.trajectory) == 7
-        assert res.stop_time is None
-
-    def test_horizon_must_exceed_the_window(self):
-        cfg = DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=5, d=1.0)
-        with pytest.raises(ValueError):
-            run_detector(iter(degenerate_stream(10)), cfg, horizon=5)
-
     def test_statistic_never_falls_below_the_increment(self):
         sc = StreamScenario(
             assignment=assignment_from_sizes((2, 1)), sigma=1.0, tau=5, horizon=60, seed=4

@@ -209,6 +209,13 @@ class TestSensorSeries:
         with pytest.raises(StreamFormatError, match="line 2"):
             read_sensor_csv(alpha, segment=2)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+    def test_rejects_non_finite_samples(self, tmp_path, bad):
+        path = tmp_path / "sensors.csv"
+        path.write_text(f"a,b\n1,2\n3,{bad}\n5,6\n")
+        with pytest.raises(StreamFormatError, match="line 3: non-finite"):
+            read_sensor_csv(path, segment=2)
+
     def test_series_validation(self):
         with pytest.raises(ValueError):
             MultichannelSeries(names=("a",), values=np.zeros((4, 1)), segment=2)

@@ -284,7 +284,7 @@ class TestExactFastPathParity:
         for rep in range(plan.replications):
             fast = _rep_alarm(plan, rep)
             stream = iter_stream(sc, rng=rng_from_key(plan.master_seed, rep), horizon=plan.cap)
-            slow = run_detector(stream, plan.detector, horizon=plan.cap).stop_time
+            slow = run_detector(stream, plan.detector).stop_time
             assert fast == slow
 
 

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from spectral_cusum import (
-    DesignPoint,
     Spectrum,
     ValidityError,
     assignment_from_sizes,
@@ -20,7 +19,6 @@ from spectral_cusum import (
     build_indicator,
     coupling_matrix,
     delta_star,
-    design_point,
     drift_for_delta,
     edd_at_optimal_tilt,
     edd_denominator,
@@ -33,7 +31,6 @@ from spectral_cusum import (
     optimal_drift,
     optimal_window,
     optimality_ratio,
-    perturbation_constants,
     spectrum_from_sizes,
     theory_report,
 )
@@ -59,6 +56,33 @@ class TestSpectrum:
             Spectrum(eigenvalues=(1.0, 2.0))
         with pytest.raises(ValidityError):
             Spectrum(eigenvalues=(2.0, -1.0))
+
+
+def triple_sum_bias(coupling):
+    """The bias constant's defining triple sum, evaluated term by term."""
+    m = coupling.shape[0]
+    total = 0.0
+    for i in range(m):
+        for j in range(m):
+            if j == i:
+                continue
+            inner = 0.0
+            for k in range(m):
+                if k != j:
+                    inner += coupling[i, j] * coupling[k, j]
+            total += inner + 2.0 * coupling[i, j] ** 2
+    return total
+
+
+def pairwise_coupling(lam):
+    """The coupling matrix filled entry by entry."""
+    m = len(lam)
+    out = np.zeros((m, m))
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                out[i, j] = lam[i] * lam[j] / (lam[i] - lam[j]) ** 2
+    return out
 
 
 class TestCouplingAndBias:
@@ -91,10 +115,28 @@ class TestCouplingAndBias:
             coupling = coupling_matrix(Spectrum(eigenvalues=tuple(lam)))
             assert bias_constant(coupling) <= bias_bound(coupling) * (1 + 1e-12)
 
-    def test_perturbation_constants_bundle(self):
-        pc = perturbation_constants(spectrum_from_sizes((12, 6)))
-        assert pc.c == pytest.approx(24.0, rel=1e-12)
-        assert pc.coupling[0, 1] == pytest.approx(2.0, rel=1e-12)
+    def test_coupling_matches_the_entrywise_twin(self):
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            lam = np.sort(rng.uniform(0.5, 20.0, size=int(rng.integers(1, 7))))[::-1]
+            if lam.size > 1 and np.min(np.abs(np.diff(lam))) < 1e-3:
+                continue
+            got = coupling_matrix(Spectrum(eigenvalues=tuple(lam)))
+            np.testing.assert_allclose(got, pairwise_coupling(lam), rtol=1e-12, atol=0)
+
+    def test_bias_constant_matches_the_triple_sum(self):
+        """The column-sum form equals the triple sum on any square matrix,
+        non-symmetric ones with a non-zero diagonal included: the diagonal
+        never enters either."""
+        rng = np.random.default_rng(29)
+        for trial in range(200):
+            m = int(rng.integers(1, 7))
+            mat = rng.uniform(0.0, 5.0, size=(m, m))
+            if trial % 2:
+                mat = mat + mat.T
+                np.fill_diagonal(mat, 0.0)
+            want = triple_sum_bias(mat)
+            assert bias_constant(mat) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 class TestDriftAndInformation:
@@ -176,13 +218,19 @@ class TestDelayApproximations:
         assert edd == pytest.approx(50.337, rel=1e-4)
         assert edd == pytest.approx(20.0 / denom + 50.0, rel=1e-12)
 
-    def test_spectral_delay_matches_the_optimal_tilt_form(self):
-        m, c, w, sigma = 2, 24.0, 50, 0.25
-        ds = delta_star(m, c, w, sigma)
+    def test_optimal_tilt_delay_is_the_collapsed_square_form(self):
         gamma = math.exp(10.0)
-        assert edd_spectral_approx(gamma, ds, m, c, w, sigma) == pytest.approx(
-            edd_at_optimal_tilt(gamma, m, c, w, sigma), rel=1e-12
-        )
+        for m, c, w, sigma in ((2, 24.0, 50, 0.25), (3, 40.0, 17.5, 0.4), (1, 0.0, 1, 0.1)):
+            q = m / sigma - c / (sigma * w * w)
+            want = 2.0 * math.log(gamma) / (q * q - 2.0 * m) + w
+            got = edd_at_optimal_tilt(gamma, m, c, w, sigma)
+            assert got == pytest.approx(want, rel=1e-12)
+
+    def test_optimal_tilt_delay_rejects_windows_below_one(self):
+        with pytest.raises(ValueError, match="at least 1"):
+            edd_at_optimal_tilt(math.exp(10.0), 2, 24.0, 0.5, 0.25)
+        with pytest.raises(ValueError, match="at least 1"):
+            edd_spectral_approx(math.exp(10.0), 1.0, 2, 24.0, 0.5, 0.25)
 
     def test_spectral_delay_outside_the_validity_domain(self):
         m, c, w, sigma = 2, 24.0, 50, 1.2
@@ -204,6 +252,14 @@ class TestDelayApproximations:
         assert edd_exact_approx(math.exp(0.001), a21, 1.0) == pytest.approx(
             0.0004, rel=1e-9
         )
+
+    def test_exact_delay_rejects_zero_noise_and_zero_signal(self):
+        a21 = build_indicator(assignment_from_sizes((2, 1)))
+        with pytest.raises(ValueError, match="sigma"):
+            edd_exact_approx(math.exp(5.0), a21, 0.0)
+        zero = build_indicator(assignment_from_sizes((), n=4))
+        with pytest.raises(ValidityError, match="no signal"):
+            edd_exact_approx(math.exp(5.0), zero, 1.0)
 
 
 class TestOptimalWindow:
@@ -288,6 +344,19 @@ class TestEigenvectorSamplingCovariance:
             cov = eigenvector_sampling_covariance(spec, q, 40, i)
             np.testing.assert_allclose(cov @ q[:, i - 1], np.zeros(6), atol=1e-12)
 
+    def test_matches_the_sum_over_eigenvectors(self):
+        spec = Spectrum(eigenvalues=(7.0, 5.0, 3.0, 1.0))
+        coupling = coupling_matrix(spec)
+        u = np.random.default_rng(5).standard_normal((6, 5))
+        for i in (1, 2, 3, 4):
+            want = sum(
+                (coupling[k, i - 1] / 30) * np.outer(u[:, k], u[:, k])
+                for k in range(4)
+                if k != i - 1
+            )
+            got = eigenvector_sampling_covariance(spec, u, 30, i)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
     def test_trace_identity(self):
         spec = Spectrum(eigenvalues=(5.0, 3.0, 1.0))
         coupling = coupling_matrix(spec)
@@ -325,13 +394,19 @@ class TestStationarity:
             assert abs(slope) <= 2.0 * c / w_star**2
 
 
-class TestDesignPointAndReport:
-    def test_design_point_is_internally_consistent(self):
-        dp = design_point(math.exp(200.0), 2, 24.0, 0.25, n=18)
-        assert isinstance(dp, DesignPoint)
-        assert dp.w == pytest.approx(optimal_window(math.exp(200.0), 2, 24.0, 0.25))
-        assert dp.delta > 0 and dp.d > 0 and dp.edd > dp.w
-        assert dp.ratio > 1.0
+class TestReport:
+    def test_design_chain_is_internally_consistent(self):
+        gamma = math.exp(200.0)
+        rep = theory_report((12, 6), 0.25, gamma, n=18)
+        assert all(v["ok"] for v in rep["validity"].values())
+        assert rep["w_star"] == pytest.approx(optimal_window(gamma, 2, 24.0, 0.25))
+        w = rep["window_used"]
+        assert w == round(rep["w_star"])
+        assert rep["delta_star"] == delta_star(2, 24.0, w, 0.25)
+        assert rep["d_star"] == optimal_drift(w, 2, 24.0, 0.25)
+        assert rep["edd_spectral"] == edd_at_optimal_tilt(gamma, 2, 24.0, w, 0.25)
+        assert rep["delta_star"] > 0 and rep["d_star"] > 0 and rep["edd_spectral"] > w
+        assert rep["ratio"] > 1.0
 
     def test_report_fields_and_validity_flags(self):
         rep = theory_report((12, 6), sigma=0.25, gamma=1000.0)
@@ -358,3 +433,9 @@ class TestDesignPointAndReport:
         assert rep["window_used"] == 50
         assert rep["validity"]["delta_star"]["ok"] is True
         assert rep["delta_star"] == pytest.approx(delta_star(2, 24.0, 50, 0.25))
+
+    @pytest.mark.parametrize("window", [0, -5])
+    def test_report_rejects_a_window_below_one(self, window):
+        with pytest.raises(ValueError, match="at least 1") as err:
+            theory_report((12, 6), sigma=0.25, gamma=1000.0, window=window)
+        assert not isinstance(err.value, ValidityError)
