@@ -303,8 +303,12 @@ def theory_report(
 
     Fields outside their validity domain carry null values plus a reason in
     the "validity" map; a degenerate spectrum makes nothing computable and
-    raises instead. An explicit window below 1 is a usage error.
+    raises instead. A non-finite sigma or gamma, or an explicit window below
+    1, is a usage error.
     """
+    for name, value in (("sigma", sigma), ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if window is not None and not window >= 1:
         raise ValueError(f"window length must be at least 1, got {window}")
     spec = spectrum_from_sizes(sizes)

@@ -259,6 +259,18 @@ class TestTheory:
         assert captured.out == ""
         assert "window length must be at least 1" in captured.err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("name", ["sigma", "gamma"])
+    def test_non_finite_sigma_or_gamma_is_a_usage_error(self, name, value, capsys):
+        """At the parent --gamma nan exited 0 writing NaN, which is not JSON,
+        and --sigma nan exited 2 with round's message about integers."""
+        opts = {"sigma": "0.25", "gamma": "1000", name: value}
+        args = ["theory", "--sizes", "12,6", "--sigma", opts["sigma"], "--gamma", opts["gamma"]]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {name} must be finite" in captured.err
+
 
 class TestCalibrateAndBench:
     def test_calibrate_writes_a_threshold_report(self, tmp_path):

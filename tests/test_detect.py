@@ -304,7 +304,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
     @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
     @pytest.mark.parametrize("method", [SPECTRAL, TOP1, EXACT])
     @pytest.mark.parametrize("b", [10.0, math.inf])
-    def test_bit_for_bit(self, method, convention, b):
+    def test_bit_for_bit(self, method, convention, b, solver):
         sc = self.scenario(convention)
         cfg = self.config(method, b)
         snaps = make_stream(sc)

@@ -2,10 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spectral_cusum import (
     IID_FULL,
+    SPECTRAL,
     SYMMETRIC,
+    DetectorConfig,
     GraphSnapshot,
     NumericalError,
     StreamScenario,
@@ -17,8 +21,10 @@ from spectral_cusum import (
     mean_matrix,
     projector,
     rng_from_key,
+    run_detector,
     sample_snapshot,
     sliding_mean,
+    spectral,
     top_m_eigs,
 )
 
@@ -92,6 +98,118 @@ class TestSlidingMean:
         np.testing.assert_allclose(out, sym, rtol=0, atol=1e-15)
 
 
+def stacked_mean(buffer):
+    """sliding_mean's slow twin: stack the window, reduce it, symmetrize."""
+    acc = np.add.reduce([snap.weights for snap in buffer.snapshots])
+    return (acc + acc.T) / (2.0 * buffer.capacity)
+
+
+@pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+@pytest.mark.parametrize("n, w", [(3, 1), (8, 2), (20, 7), (100, 4)])
+def test_sliding_mean_matches_the_stacked_reduce_bit_for_bit(convention, n, w):
+    """Every window a rolling buffer holds over 30 snapshots, noisy about a
+    block mean; iid-full snapshots are asymmetric."""
+    mean = 3.0 * mean_matrix(build_indicator(assignment_from_sizes((n // 2, 1), n=n)))
+    rng = rng_from_key(40, 100 * n + w)
+    buf = WindowBuffer(w)
+    for t in range(1, 31):
+        buf.push(sample_snapshot(mean, 0.7, convention, rng, t=t))
+        if buf.full:
+            assert np.array_equal(sliding_mean(buf), stacked_mean(buf))
+
+
+def eigh_top(matrix, m):
+    """top_m_eigs on the np.linalg.eigh fallback."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "_DSYEVR", None)
+        return top_m_eigs(matrix, m)
+
+
+def symmetric_matrices(n, seed, repeated):
+    rng = rng_from_key(50, seed)
+    if repeated:
+        # a few distinct eigenvalues, each repeated, in a random basis
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = rng.integers(-2, 3, size=n).astype(float)
+        m = (q * lam) @ q.T
+    else:
+        m = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+    return (m + m.T) / 2.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(1, 40),
+    m_frac=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+    repeated=st.booleans(),
+)
+def test_dsyevr_agrees_with_eigh(n, m_frac, seed, repeated):
+    """Eigenvalues agree within tol = 64 n eps max(1, ||M||_F); where the gap
+    lambda_m - lambda_{m+1} exceeds 1e-6 max(1, ||M||_F) (always at m = n),
+    the projectors agree within tol / gap (Davis-Kahan). At m = n every
+    eigenvalue is compared."""
+    if spectral._DSYEVR is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no LAPACKE_dsyevr here")
+    m = 1 + min(n - 1, int(m_frac * n))
+    matrix = symmetric_matrices(n, seed, repeated)
+    scale = max(1.0, float(np.linalg.norm(matrix)))
+    tol = 64 * n * np.finfo(float).eps * scale
+    fast = top_m_eigs(matrix, m)
+    slow = eigh_top(matrix, m)
+    assert fast.eigenvalues.shape == slow.eigenvalues.shape == (m,)
+    assert np.max(np.abs(fast.eigenvalues - slow.eigenvalues)) <= tol
+    every = np.linalg.eigvalsh(matrix)[::-1]
+    gap = scale if m == n else float(every[m - 1] - every[m])
+    if gap > 1e-6 * scale:
+        diff = projector(fast) - projector(slow)
+        assert float(np.linalg.norm(diff)) <= tol / gap
+
+
+class TestSolverBinding:
+    @pytest.fixture
+    def libdir(self, tmp_path, monkeypatch):
+        """An empty directory the loader globs in place of numpy's libraries."""
+        monkeypatch.setattr(spectral, "_OPENBLAS_GLOB", str(tmp_path / "libscipy_openblas64_*.so"))
+        return tmp_path
+
+    def test_loader_returns_none_without_the_library(self, libdir):
+        assert spectral._load_dsyevr() is None
+
+    def test_loader_returns_none_when_the_library_fails_to_load(self, libdir):
+        (libdir / "libscipy_openblas64_-0.so").write_bytes(b"not a shared object")
+        assert spectral._load_dsyevr() is None
+
+    def test_loader_returns_none_without_the_symbol(self, libdir, monkeypatch):
+        (libdir / "libscipy_openblas64_-0.so").write_bytes(b"")
+        monkeypatch.setattr(spectral.ctypes, "CDLL", lambda path: object())
+        assert spectral._load_dsyevr() is None
+
+    @pytest.mark.parametrize("info", [1, -6])
+    def test_failed_solve_is_a_numerical_error_in_the_detector(self, info, monkeypatch):
+        """The dsyevr twin of test_eigensolver_failure_is_a_numerical_error:
+        a nonzero info is a failed eigensolve, even with every pair found."""
+
+        def failing(*args):
+            args[12]._obj.value = args[10] - args[9] + 1  # found = iu - il + 1
+            return info
+
+        monkeypatch.setattr(spectral, "_DSYEVR", failing)
+        sc = StreamScenario(
+            assignment=assignment_from_sizes((3, 2), n=8), sigma=1.0, tau=0, horizon=12, seed=3
+        )
+        cfg = DetectorConfig(method=SPECTRAL, b=np.inf, m=2, w=5)
+        with pytest.raises(NumericalError, match="window after t=1: dsyevr failed") as err:
+            run_detector(iter_stream(sc), cfg)
+        assert isinstance(err.value.__cause__, np.linalg.LinAlgError)
+
+    def test_too_few_pairs_found_is_a_failed_solve(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_DSYEVR", lambda *args: 0)
+        with pytest.raises(np.linalg.LinAlgError, match="found 0 of 2"):
+            top_m_eigs(np.eye(3), 2)
+
+
+@pytest.mark.usefixtures("solver")
 class TestTopMEigs:
     def test_diagonal_matrix(self):
         est = top_m_eigs(np.diag([2.0, 1.0]), 2)
@@ -131,11 +249,14 @@ class TestTopMEigs:
             for v in est.eigenvectors.T:
                 assert v[int(np.argmax(np.abs(v)))] > 0
 
-    def test_columns_are_orthonormal(self):
-        b = rng_from_key(35).standard_normal((8, 8))
-        est = top_m_eigs((b + b.T) / 2.0, 5)
+    @pytest.mark.parametrize("n, m", [(8, 5), (10, 8), (8, 8), (12, 9)])
+    def test_columns_are_orthonormal(self, n, m):
+        """m = 8 puts the columns 64 bytes apart, where numpy 2.4.6's in-place
+        np.negative on a column view reads the wrong entries."""
+        b = rng_from_key(35).standard_normal((n, n))
+        est = top_m_eigs((b + b.T) / 2.0, m)
         gram = est.eigenvectors.T @ est.eigenvectors
-        np.testing.assert_allclose(gram, np.eye(5), atol=1e-10)
+        np.testing.assert_allclose(gram, np.eye(m), atol=1e-10)
 
     def test_repeated_calls_are_bit_identical(self):
         b = rng_from_key(36).standard_normal((6, 6))

@@ -434,6 +434,16 @@ class TestReport:
         assert rep["validity"]["delta_star"]["ok"] is True
         assert rep["delta_star"] == pytest.approx(delta_star(2, 24.0, 50, 0.25))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["sigma", "gamma"])
+    def test_report_rejects_non_finite_sigma_and_gamma(self, name, value):
+        """The sigma <= 0 and gamma <= 1 guards are false for NaN, so without
+        this check NaN and inf reach the design formulas."""
+        args = {"sigma": 0.25, "gamma": 1000.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be finite") as err:
+            theory_report((12, 6), **args)
+        assert not isinstance(err.value, ValidityError)
+
     @pytest.mark.parametrize("window", [0, -5])
     def test_report_rejects_a_window_below_one(self, window):
         with pytest.raises(ValueError, match="at least 1") as err:
