@@ -1,6 +1,7 @@
 """Command-line surface: simulate, detect, calibrate, theory, bench, xcorr.
 
-Every subcommand accepts --seed, --out, and --config. A config file holds
+Every subcommand accepts --out and --config; simulate, calibrate and bench,
+the ones that draw random numbers, also accept --seed. A config file holds
 "key = value" lines using the long option names; flags given on the command
 line override it. Exit codes: 0 success, 2 usage error (bad flags, values, or
 config keys), 3 validity failure (parameters outside a formula's domain,
@@ -136,7 +137,6 @@ _DETECT_OPTS = (
     ),
     _Opt("sizes", _sizes, help="community sizes (exact method only)"),
     _Opt("nodes", int, help="total node count (exact method only)"),
-    _SEED,
     _OUT,
 )
 
@@ -155,7 +155,6 @@ _THEORY_OPTS = (
     _Opt("sigma", float, default=1.0, help="noise level (default 1.0)"),
     _Opt("gamma", float, required=True, help="target average run length"),
     _Opt("window", int, help="window length (default: rounded optimal)"),
-    _SEED,
     _OUT,
 )
 
@@ -171,7 +170,6 @@ _BENCH_OPTS = (
 _XCORR_OPTS = (
     _Opt("input", positional=True, required=True, help="sensor CSV file"),
     _Opt("segment", int, required=True, help="samples per correlation segment"),
-    _SEED,
     _OUT,
 )
 
@@ -251,12 +249,16 @@ def _build_detector(values: dict, b: float) -> DetectorConfig:
     )
 
 
-def _build_plan(values: dict, target: float) -> McPlan:
-    """No-change Monte Carlo plan for calibrating to a target run length.
+def _build_plan(values: dict, flag: str, *targets: float) -> McPlan:
+    """No-change Monte Carlo plan for calibrating to the largest of the
+    target run lengths, which the option named by flag gave.
 
-    The cap defaults to 20x the target; the detector's b is a warm start that
-    calibration replaces.
+    The cap defaults to 20x that target; the detector's b is a warm start
+    that calibration replaces.
     """
+    if not all(math.isfinite(g) for g in targets):
+        raise UsageError(f"{flag} must be finite, got {', '.join(map(str, targets))}")
+    target = max(targets)
     cap = values["cap"] if values["cap"] is not None else max(10, math.ceil(20 * target))
     return McPlan(
         scenario=_build_scenario(values, tau=None, horizon=cap),
@@ -276,6 +278,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 def _cmd_detect(ns: argparse.Namespace) -> int:
     v = _resolve(ns, _DETECT_OPTS)
+    if not math.isfinite(v["b"]):
+        raise UsageError(f"--b must be finite, got {v['b']}")
     snapshots = read_stream(v["input"])
     detector = _build_detector(v, b=v["b"])
     result = run_detector(snapshots, detector)
@@ -290,7 +294,7 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
 def _cmd_calibrate(ns: argparse.Namespace) -> int:
     v = _resolve(ns, _CALIBRATE_OPTS)
     target = v["target"]
-    plan = _build_plan(v, target)
+    plan = _build_plan(v, "--target", target)
     b = calibrate_threshold(plan, target, v["rel_tol"], v["workers"])
     write_report(
         {
@@ -317,7 +321,7 @@ def _cmd_theory(ns: argparse.Namespace) -> int:
 def _cmd_bench(ns: argparse.Namespace) -> int:
     v = _resolve(ns, _BENCH_OPTS)
     gammas = v["gammas"]
-    rows = oc_curve(_build_plan(v, max(gammas)), gammas, v["rel_tol"], v["workers"])
+    rows = oc_curve(_build_plan(v, "--gammas", *gammas), gammas, v["rel_tol"], v["workers"])
     write_oc(rows, _out_or_stdout(v))
     return 0
 

@@ -1,7 +1,8 @@
 """CUSUM increments, recursions, and the online detection loop.
 
 Three detector variants share one recursion S_t = max(S_{t-1}, 0) + z_t with
-S_0 = 0 and alarm at the first t with S_t >= b. They differ in the increment:
+S_0 = 0 and alarm at the first t with S_t >= b, and one increment expression
+z_t = scale * tr(G_t K_t) - offset with a symmetric kernel K_t:
 
 - exact: z_t = 2 tr(G_t AA^T) - tr((AA^T)^2), using the true indicator matrix
   (the oracle baseline; it needs no noise-level input and stays defined at
@@ -11,7 +12,8 @@ S_0 = 0 and alarm at the first t with S_t >= b. They differ in the increment:
   weighted twice as heavily as in that ratio;
 - spectral: z_t = tr(G_t P_t) - d, where P_t projects onto the top-m
   eigenspace of the mean of the w snapshots after t;
-- top1: z_t = v_t^T G_t v_t - d with v_t the leading eigenvector of that mean.
+- top1: spectral at m = 1, which is z_t = v_t^T G_t v_t - d with v_t the
+  leading eigenvector of that mean.
 
 Spectral and top1 score snapshot t only once snapshot t+w has arrived, so the
 window never overlaps the scored snapshot and the wall-clock alarm time is the
@@ -35,16 +37,7 @@ TOP1 = "top1"
 METHODS = (EXACT, SPECTRAL, TOP1)
 
 
-def _as_weights(g) -> np.ndarray:
-    return g.weights if isinstance(g, GraphSnapshot) else np.asarray(g, dtype=float)
-
-
-def _trace_with_symmetric(x: np.ndarray, sym: np.ndarray) -> float:
-    # tr(X @ S) for symmetric S equals the entrywise dot, X need not be symmetric
-    return float(np.dot(x.ravel(), sym.ravel()))
-
-
-def log_likelihood_ratio(g, a: IndicatorMatrix, sigma: float) -> float:
+def log_likelihood_ratio(g: GraphSnapshot, a: IndicatorMatrix, sigma: float) -> float:
     """exact_increment / (2 sigma^2): the Gaussian log-likelihood ratio of
     post- vs pre-change for one iid-full snapshot.
 
@@ -56,30 +49,19 @@ def log_likelihood_ratio(g, a: IndicatorMatrix, sigma: float) -> float:
     return exact_increment(g, a) / (2.0 * sigma * sigma)
 
 
-def exact_increment(g, a: IndicatorMatrix) -> float:
+def exact_increment(g: GraphSnapshot, a: IndicatorMatrix) -> float:
     """Scaled likelihood increment 2 tr(G AA^T) - tr((AA^T)^2).
 
     Equals 2 sigma^2 times log_likelihood_ratio; being sigma-free it is the
-    form the exact detector accumulates. That ratio is the true one for
-    iid-full snapshots only: under the symmetric convention each off-diagonal
-    pair counts twice. With M = AA^T, the increment before the change is then
+    form the exact detector accumulates, and it is the exact detector's
+    first increment on the one-snapshot stream [g], so a non-finite value
+    raises NumericalError. That ratio is the true one for iid-full snapshots
+    only: under the symmetric convention each off-diagonal pair counts twice.
+    With M = AA^T, the increment before the change is then
     N(-||M||_F^2, 4 sigma^2 (sum_i M_ii^2 + 4 sum_{i<j} M_ij^2)).
     """
-    mm = mean_matrix(a)
-    w = _as_weights(g)
-    return 2.0 * _trace_with_symmetric(w, mm) - _trace_with_symmetric(mm, mm)
-
-
-def spectral_increment(g, p: np.ndarray, d: float) -> float:
-    """Projection energy of one snapshot on the estimated subspace, minus drift."""
-    return _trace_with_symmetric(_as_weights(g), np.asarray(p, dtype=float)) - d
-
-
-def top1_increment(g, v: np.ndarray, d: float) -> float:
-    """Quadratic form of one snapshot along the leading eigenvector, minus drift."""
-    v = np.asarray(v, dtype=float)
-    w = _as_weights(g)
-    return float(v @ w @ v) - d
+    _, inc, _ = next(iter_statistic([g], DetectorConfig(method=EXACT, b=math.inf, A=a)))
+    return inc
 
 
 def cusum_update(prev: float, increment: float) -> float:
@@ -164,7 +146,9 @@ class DetectionResult:
 def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float, float]]:
     """Yield (scored index, increment, statistic) for each scored snapshot.
 
-    The generator runs the recursion over the whole stream and never stops
+    Every method scores scale * tr(G K) - offset; config.lag alone tells
+    the exact oracle's fixed kernel AA^T from the windowed methods'
+    per-step projector. The generator runs the recursion over the whole stream and never stops
     at config.b; run_detector is its consumer that stops there. Exact scores
     each snapshot on arrival; spectral and top1 score a snapshot once the w
     snapshots after it have arrived, so the first w snapshots yield nothing
@@ -174,32 +158,26 @@ def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float,
     by overflowing. The generator sets no numpy error state of its own, so a
     caller that wants overflow silenced wraps its loop in np.errstate.
     """
-    # exact scores each snapshot on arrival; the windowed methods score the
-    # snapshot that leaves a full window against the w snapshots after it
     lag = config.lag
     if lag:
         window = WindowBuffer(lag)
+        scale, offset = 1.0, config.d
     else:
-        mm = mean_matrix(config.A)
-        mm_flat = mm.ravel()
-        offset = _trace_with_symmetric(mm, mm)
+        kernel = mean_matrix(config.A).ravel()
+        scale, offset = 2.0, float(np.dot(kernel, kernel))
     statistic = 0.0
     for snap in stream:
+        g = snap
         if lag:
             g = window.push(snap)
             if g is None:
                 continue
             try:
-                est = estimate_subspace(window, config.m)
+                kernel = projector(estimate_subspace(window, config.m)).ravel()
             except (NumericalError, np.linalg.LinAlgError) as err:
                 raise NumericalError(f"window after t={g.t}: {err}") from err
-            if config.method == TOP1:
-                inc = top1_increment(g, est.eigenvectors[:, 0], config.d)
-            else:
-                inc = spectral_increment(g, projector(est), config.d)
-        else:
-            g = snap
-            inc = 2.0 * float(np.dot(g.weights.ravel(), mm_flat)) - offset
+        # tr(G K) for symmetric K is the entrywise dot; G need not be symmetric
+        inc = scale * float(np.dot(g.weights.ravel(), kernel)) - offset
         if not math.isfinite(inc):
             raise NumericalError(f"non-finite increment {inc} at t={g.t}")
         statistic = cusum_update(statistic, inc)

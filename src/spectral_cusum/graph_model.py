@@ -112,11 +112,14 @@ def mean_matrix(a: IndicatorMatrix) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GraphSnapshot:
-    """One observed weighted graph at time index t."""
+    """One observed weighted graph at time index t; n is its node count."""
 
     t: int
-    n: int
     weights: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.weights.shape[0]
 
 
 def sample_snapshot(
@@ -141,7 +144,7 @@ def sample_snapshot(
         raise ValueError("mean must be a square matrix")
     n = mean.shape[0]
     weights = _draw_weights(mean, sigma, convention, rng, n)
-    return GraphSnapshot(t=t, n=n, weights=weights)
+    return GraphSnapshot(t=t, weights=weights)
 
 
 @lru_cache(maxsize=_CACHE_MAXSIZE)
@@ -214,7 +217,7 @@ def iter_stream(
     convention = scenario.convention
     for t in range(1, horizon + 1):
         mean = post_mean if (tau is not None and t > tau) else pre_mean
-        yield GraphSnapshot(t=t, n=n, weights=_draw_weights(mean, sigma, convention, rng, n))
+        yield GraphSnapshot(t=t, weights=_draw_weights(mean, sigma, convention, rng, n))
 
 
 def make_stream(scenario: StreamScenario) -> list[GraphSnapshot]:

@@ -132,7 +132,7 @@ def _parse_snapshot(
         w.T[iu] = arr
     else:
         w = arr.reshape(n, n)
-    return GraphSnapshot(t=t, n=n, weights=w)
+    return GraphSnapshot(t=t, weights=w)
 
 
 def write_trace(result: DetectionResult, path_or_file) -> int:
@@ -281,7 +281,7 @@ def xcorr_stream(series: MultichannelSeries) -> list[GraphSnapshot]:
         idx = np.arange(series.channels)
         corr[idx, idx] = np.where(flat, 0.0, 1.0)
         corr = np.triu(corr) + np.triu(corr, 1).T
-        snaps.append(GraphSnapshot(t=s + 1, n=series.channels, weights=corr))
+        snaps.append(GraphSnapshot(t=s + 1, weights=corr))
     return snaps
 
 

@@ -72,9 +72,10 @@ class WindowBuffer:
     def push(self, snapshot: GraphSnapshot) -> GraphSnapshot | None:
         """Append a snapshot; return the one it evicts from a full buffer, or
         None while the buffer is still filling."""
-        if self._snaps and snapshot.n != self._snaps[0].n:
+        if self._snaps and snapshot.weights.shape != self._snaps[0].weights.shape:
             raise ValueError(
-                f"snapshot has n={snapshot.n}, buffer holds n={self._snaps[0].n}"
+                f"snapshot has shape {snapshot.weights.shape}, "
+                f"buffer holds {self._snaps[0].weights.shape}"
             )
         evicted = self._snaps[0] if self.full else None
         self._snaps.append(snapshot)

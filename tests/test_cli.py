@@ -122,6 +122,13 @@ class TestDetect:
         assert code == 0
         assert "no alarm in 6 snapshots" in capsys.readouterr().err
 
+    def test_infinite_threshold_is_a_usage_error(self, tmp_path, capsys):
+        """b = inf can never be reached, so the run could not alarm."""
+        stream = simulate_degenerate(tmp_path)
+        args = ["detect", str(stream), "--method", "exact", "--sizes", "2,1", "--b", "inf"]
+        assert main(args + ["--out", str(tmp_path / "t.csv")]) == 2
+        assert "error: --b must be finite" in capsys.readouterr().err
+
     def test_missing_input_file_is_a_usage_error(self, tmp_path):
         code = main(
             [
@@ -194,6 +201,37 @@ class TestDetect:
         )
         assert code == 2
         assert "sizes" in capsys.readouterr().err
+
+
+class TestSeedFlag:
+    """Only the subcommands that draw random numbers take --seed."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["detect", "stream.ndjson", "--method", "spectral", "--m", "1", "--window", "2"],
+            ["theory", "--sizes", "12,6", "--gamma", "100"],
+            ["xcorr", "sensors.csv", "--segment", "4"],
+        ],
+        ids=["detect", "theory", "xcorr"],
+    )
+    def test_commands_that_draw_nothing_reject_it(self, args, capsys):
+        assert main(args + ["--seed", "1"]) == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["simulate", "--sizes", "2,1", "--horizon", "3"],
+            ["calibrate", "--target", "10", "--reps", "50", "--rel-tol", "0.4"],
+            ["bench", "--gammas", "10", "--reps", "50", "--rel-tol", "0.4"],
+        ],
+        ids=["simulate", "calibrate", "bench"],
+    )
+    def test_commands_that_draw_accept_it(self, args, tmp_path):
+        if args[0] != "simulate":
+            args = args + ["--sizes", "2,1", "--method", "exact"]
+        assert main(args + ["--seed", "1", "--out", str(tmp_path / "out")]) == 0
 
 
 class TestConfigFile:
@@ -324,6 +362,21 @@ class TestCalibrateAndBench:
         assert rows[0] == ["gamma", "b", "edd", "se"]
         assert len(rows) == 3
         assert float(rows[1][1]) < float(rows[2][1])
+
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["calibrate", "--target", "inf"], "--target"),
+            (["calibrate", "--target", "nan"], "--target"),
+            (["bench", "--gammas", "50,inf"], "--gammas"),
+            (["bench", "--gammas", "50,nan"], "--gammas"),
+        ],
+    )
+    def test_non_finite_target_is_a_usage_error(self, args, flag, tmp_path, capsys):
+        args = args + ["--sizes", "2,1", "--method", "exact", "--reps", "50"]
+        assert main(args + ["--out", str(tmp_path / "out")]) == 2
+        assert f"error: {flag} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_non_integer_reps_name_the_int_type(self, tmp_path, capsys):
         code = main(

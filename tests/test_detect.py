@@ -31,8 +31,6 @@ from spectral_cusum import (
     projector,
     rng_from_key,
     run_detector,
-    spectral_increment,
-    top1_increment,
     top_m_eigs,
 )
 
@@ -44,7 +42,7 @@ def as_snapshots(matrices):
     from spectral_cusum import GraphSnapshot
 
     return [
-        GraphSnapshot(t=t, n=np.asarray(m).shape[0], weights=np.asarray(m, dtype=float))
+        GraphSnapshot(t=t, weights=np.asarray(m, dtype=float))
         for t, m in enumerate(matrices, start=1)
     ]
 
@@ -53,20 +51,20 @@ class TestIncrements:
     def test_llr_at_the_post_change_mean(self):
         from spectral_cusum import GraphSnapshot
 
-        g = GraphSnapshot(t=1, n=3, weights=G21)
+        g = GraphSnapshot(t=1, weights=G21)
         assert log_likelihood_ratio(g, A21, 1.0) == pytest.approx(2.5, rel=1e-12)
 
     def test_llr_at_zero(self):
         from spectral_cusum import GraphSnapshot
 
-        g = GraphSnapshot(t=1, n=3, weights=np.zeros((3, 3)))
+        g = GraphSnapshot(t=1, weights=np.zeros((3, 3)))
         assert log_likelihood_ratio(g, A21, 1.0) == pytest.approx(-2.5, rel=1e-12)
 
     def test_llr_is_zero_for_an_all_background_indicator(self):
         from spectral_cusum import GraphSnapshot
 
         a0 = build_indicator(assignment_from_sizes((), n=3))
-        g = GraphSnapshot(t=1, n=3, weights=rng_from_key(1).standard_normal((3, 3)))
+        g = GraphSnapshot(t=1, weights=rng_from_key(1).standard_normal((3, 3)))
         assert log_likelihood_ratio(g, a0, 1.0) == 0.0
 
     def test_exact_increment_values(self):
@@ -86,24 +84,32 @@ class TestIncrements:
             rhs = 2.0 * sigma * sigma * log_likelihood_ratio(g, A21, sigma)
             assert lhs == pytest.approx(rhs, rel=1e-12)
 
+    def test_exact_increment_of_a_non_finite_snapshot_raises(self):
+        bad = G21.copy()
+        bad[0, 1] = np.nan
+        (g,) = as_snapshots([bad])
+        with pytest.raises(NumericalError, match="non-finite increment"):
+            exact_increment(g, A21)
+
+    @staticmethod
+    def first_increment(g, window_matrix, cfg):
+        """iter_statistic's first increment: g scored against w copies of
+        window_matrix, whose window mean is window_matrix itself."""
+        ((_, inc, _),) = iter_statistic(as_snapshots([g] + [window_matrix] * cfg.w), cfg)
+        return inc
+
     def test_spectral_increment_values(self):
-        p = projector(top_m_eigs(G21, 2))
-        (g_id,) = as_snapshots([np.eye(3)])
-        (g_zero,) = as_snapshots([np.zeros((3, 3))])
-        (g_post,) = as_snapshots([G21])
-        assert spectral_increment(g_id, p, 1.0) == pytest.approx(1.0, rel=1e-12)
-        assert spectral_increment(g_zero, p, 1.0) == pytest.approx(-1.0, rel=1e-12)
-        assert spectral_increment(g_post, p, 1.0) == pytest.approx(2.0, rel=1e-12)
+        cfg = DetectorConfig(method=SPECTRAL, b=math.inf, m=2, w=3, d=1.0)
+        for g, want in ((np.eye(3), 1.0), (np.zeros((3, 3)), -1.0), (G21, 2.0)):
+            assert self.first_increment(g, G21, cfg) == pytest.approx(want, rel=1e-12)
 
     def test_top1_increment_values(self):
-        (g_diag,) = as_snapshots([np.diag([3.0, 1.0])])
-        (g_zero,) = as_snapshots([np.zeros((2, 2))])
-        (g_ex,) = as_snapshots([[[0.0, 1.0], [1.0, 0.0]]])
-        e1 = np.array([1.0, 0.0])
-        r = np.array([1.0, 1.0]) / np.sqrt(2.0)
-        assert top1_increment(g_diag, e1, 0.0) == pytest.approx(3.0, rel=1e-12)
-        assert top1_increment(g_zero, e1, 0.7) == pytest.approx(-0.7, rel=1e-12)
-        assert top1_increment(g_ex, r, 0.0) == pytest.approx(1.0, rel=1e-12)
+        """Window mean diag(3, 1) has leading vector e1; the exchange
+        matrix has (1, 1)/sqrt(2), along which it has quadratic form 1."""
+        cfg = DetectorConfig(method=TOP1, b=math.inf, w=2, d=0.5)
+        diag, ex = np.diag([3.0, 1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        for g, window, want in ((diag, diag, 2.5), (np.zeros((2, 2)), diag, -0.5), (ex, ex, 0.5)):
+            assert self.first_increment(g, window, cfg) == pytest.approx(want, rel=1e-12)
 
 
 class TestCusumForms:
@@ -209,9 +215,7 @@ class TestRunDetector:
         spec = run_detector(stream, DetectorConfig(method=SPECTRAL, b=9.0, m=1, w=2, d=0.5))
         top = run_detector(stream, DetectorConfig(method=TOP1, b=9.0, w=2, d=0.5))
         assert spec.stop_time == top.stop_time
-        np.testing.assert_allclose(
-            [v for _, v in spec.trajectory], [v for _, v in top.trajectory], rtol=1e-12
-        )
+        assert spec.trajectory == top.trajectory
 
     def test_short_stream_scores_nothing(self):
         cfg = DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=5, d=1.0)
@@ -247,8 +251,8 @@ def longhand_run(snaps, cfg, increments=None):
 
     A separate deque holds the last w+1 snapshots (one for exact); the oldest
     is scored against the rest, whose mean comes from np.add.reduce, then
-    top_m_eigs, the projector and an entrywise dot. Each increment is
-    appended to `increments` when a list is given.
+    top_m_eigs, the projector and an entrywise dot; top1 is spectral at
+    m = 1. Each increment is appended to `increments` when a list is given.
     """
     lag = 0 if cfg.method == EXACT else cfg.w
     mm = mean_matrix(cfg.A) if cfg.method == EXACT else None
@@ -264,13 +268,8 @@ def longhand_run(snaps, cfg, increments=None):
             inc = 2.0 * float(np.dot(g.weights.ravel(), mm.ravel())) - offset
         else:
             acc = np.add.reduce([x.weights for x in held])
-            est = top_m_eigs((acc + acc.T) / (2.0 * cfg.w), cfg.m)
-            if cfg.method == TOP1:
-                v = est.eigenvectors[:, 0]
-                inc = float(v @ g.weights @ v) - cfg.d
-            else:
-                p = projector(est)
-                inc = float(np.dot(g.weights.ravel(), p.ravel())) - cfg.d
+            p = projector(top_m_eigs((acc + acc.T) / (2.0 * cfg.w), cfg.m))
+            inc = float(np.dot(g.weights.ravel(), p.ravel())) - cfg.d
         if increments is not None:
             increments.append(inc)
         s = max(s, 0.0) + inc
@@ -331,6 +330,20 @@ class TestRunDetectorMatchesTheLonghandLoop:
         assert [inc for _, inc, _ in got] == want_incs
         assert len(got) == len(snaps) - cfg.lag
 
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    def test_top1_increment_is_the_leading_quadratic_form(self, convention, solver):
+        """Each top1 increment, scored through the rank-one projector, is
+        v @ G @ v - d with v the leading eigenvector of its window mean."""
+        cfg = self.config(TOP1, math.inf)
+        snaps = make_stream(self.scenario(convention))
+        got = list(iter_statistic(snaps, cfg))
+        assert len(got) == len(snaps) - cfg.w
+        for i, (t, inc, _) in enumerate(got):
+            acc = np.add.reduce([x.weights for x in snaps[i + 1 : i + 1 + cfg.w]])
+            v = top_m_eigs((acc + acc.T) / (2.0 * cfg.w), 1).eigenvectors[:, 0]
+            assert t == snaps[i].t
+            assert inc == pytest.approx(float(v @ snaps[i].weights @ v) - cfg.d, abs=1e-12)
+
     @pytest.mark.parametrize("method", [SPECTRAL, TOP1, EXACT])
     def test_generator_keeps_yielding_past_the_threshold(self, method):
         snaps = make_stream(self.scenario(SYMMETRIC))
@@ -348,7 +361,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
         np.geterr() as their caller set it after every pull and after both
         close."""
         snaps = make_stream(self.scenario(SYMMETRIC))
-        snaps[6] = GraphSnapshot(t=7, n=8, weights=np.full((8, 8), 1e308))
+        snaps[6] = GraphSnapshot(t=7, weights=np.full((8, 8), 1e308))
         before = np.geterr()
         gens = [
             iter_statistic(snaps, self.config(method, math.inf)) for method in (EXACT, SPECTRAL)
@@ -378,7 +391,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
         snaps = make_stream(self.scenario(SYMMETRIC))
         bad = snaps[0].weights.copy()
         bad[0, 1] = np.nan
-        snaps[0] = GraphSnapshot(t=1, n=8, weights=bad)
+        snaps[0] = GraphSnapshot(t=1, weights=bad)
         with pytest.raises(ValueError, match="non-finite increment"):
             run_detector(snaps, self.config(method, math.inf))
 
@@ -387,7 +400,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
         """Finite weights whose window sum overflows give a non-finite mean."""
         snaps = make_stream(self.scenario(SYMMETRIC))
         for i in (3, 4):
-            snaps[i] = GraphSnapshot(t=i + 1, n=8, weights=np.full((8, 8), 1e308))
+            snaps[i] = GraphSnapshot(t=i + 1, weights=np.full((8, 8), 1e308))
         with pytest.raises(NumericalError, match="window after t=1: .*non-finite"):
             run_detector(snaps, self.config(method, math.inf))
 

@@ -50,6 +50,16 @@ class TestStreamRoundTrip:
             assert a.n == b.n
             assert np.array_equal(a.weights, b.weights)
 
+    def test_node_count_is_the_size_of_the_weights(self):
+        """n is derived from the weights, so no snapshot can claim n = 3
+        while holding a 2 x 2 matrix and send write_stream into
+        np.triu_indices(3)."""
+        with pytest.raises(TypeError):
+            GraphSnapshot(t=1, n=3, weights=np.eye(2))
+        fh = io.StringIO()
+        assert write_stream([GraphSnapshot(t=1, weights=np.eye(2))], fh) == 1
+        assert json.loads(fh.getvalue()) == {"t": 1, "n": 2, "tri": [1.0, 0.0, 1.0]}
+
     def test_symmetric_streams_use_the_triangular_layout(self, tmp_path):
         path = tmp_path / "stream.ndjson"
         write_stream(make_stream(scenario()), path)

@@ -31,7 +31,7 @@ from spectral_cusum import (
 
 def snap(weights, t=1):
     w = np.asarray(weights, dtype=float)
-    return GraphSnapshot(t=t, n=w.shape[0], weights=w)
+    return GraphSnapshot(t=t, weights=w)
 
 
 def filled_buffer(matrices):
@@ -67,6 +67,16 @@ class TestWindowBuffer:
         buf.push(snap(np.zeros((2, 2))))
         with pytest.raises(ValueError):
             buf.push(snap(np.zeros((3, 3))))
+
+    def test_rejects_a_shape_change_at_the_same_node_count(self):
+        """Weights of shape (2, 2) and (2, 3) both give n = 2; the buffer
+        compares shapes, so the run fails at the push, not in a numpy
+        broadcast inside the window sum."""
+        snaps = [snap(np.zeros((2, 2)), t=1), snap(np.zeros((2, 2)), t=2)]
+        snaps.append(snap(np.zeros((2, 3)), t=3))
+        assert snaps[1].n == snaps[2].n
+        with pytest.raises(ValueError, match=r"shape \(2, 3\), buffer holds \(2, 2\)"):
+            run_detector(snaps, DetectorConfig(method=SPECTRAL, b=1.0, m=1, w=2))
 
 
 class TestSlidingMean:
