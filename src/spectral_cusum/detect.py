@@ -177,7 +177,15 @@ def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float,
             except (NumericalError, np.linalg.LinAlgError) as err:
                 raise NumericalError(f"window after t={g.t}: {err}") from err
         # tr(G K) for symmetric K is the entrywise dot; G need not be symmetric
-        inc = scale * float(np.dot(g.weights.ravel(), kernel)) - offset
+        try:
+            inc = scale * float(np.dot(g.weights.ravel(), kernel)) - offset
+        except ValueError:
+            # only the exact kernel can mismatch: WindowBuffer holds one shape
+            raise ValueError(
+                f"snapshot t={g.t} has n={g.n} nodes, but the indicator matrix A "
+                f"has {config.A.entries.shape[0]} rows; the community sizes and "
+                "node count that build A (--sizes, --nodes) must match the stream"
+            ) from None
         if not math.isfinite(inc):
             raise NumericalError(f"non-finite increment {inc} at t={g.t}")
         statistic = cusum_update(statistic, inc)

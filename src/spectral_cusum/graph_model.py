@@ -117,6 +117,11 @@ class GraphSnapshot:
     t: int
     weights: np.ndarray
 
+    def __post_init__(self):
+        shape = np.shape(self.weights)
+        if len(shape) != 2 or shape[0] != shape[1]:
+            raise ValueError(f"weights must be a square 2-D array, got shape {shape}")
+
     @property
     def n(self) -> int:
         return self.weights.shape[0]

@@ -16,11 +16,12 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .detect import DetectionResult
-from .graph_model import GraphSnapshot
+from .graph_model import GraphSnapshot, _triu_cache
 
 
 class StreamFormatError(ValueError):
@@ -53,7 +54,7 @@ def write_stream(stream, path_or_file) -> int:
         for snap in stream:
             w = snap.weights
             if np.array_equal(w, w.T):
-                iu = np.triu_indices(snap.n)
+                iu = _triu_cache(snap.n)
                 payload = {"t": snap.t, "n": snap.n, "tri": w[iu].tolist()}
             else:
                 payload = {"t": snap.t, "n": snap.n, "full": w.ravel().tolist()}
@@ -66,17 +67,22 @@ def write_stream(stream, path_or_file) -> int:
 _STREAM_KEYS = {"t", "n", "tri", "full"}
 
 
-def read_stream(path_or_file) -> list[GraphSnapshot]:
-    """Read an NDJSON snapshot stream; an empty file is an empty stream.
+def iter_stream_file(path_or_file) -> Iterator[GraphSnapshot]:
+    """Yield the snapshots of an NDJSON stream one line at a time; an empty
+    file is an empty stream.
 
     Every weight must be finite (NaN, Infinity and overflowing literals such
     as 1e999 are rejected) and "t" must increase strictly from line to line.
+    A line is read and checked only when its snapshot is asked for, so a
+    consumer that stops early leaves the rest of the file unread; a path is
+    opened on the first request and closed at the end of the file or when
+    the generator is closed.
     """
     with _opened(path_or_file, "r") as fh:
         name = _name_of(fh)
-        snaps: list[GraphSnapshot] = []
+        prev = None
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
+            if not line or line.isspace():
                 continue
             try:
                 obj = json.loads(line)
@@ -84,8 +90,14 @@ def read_stream(path_or_file) -> list[GraphSnapshot]:
                 raise StreamFormatError(
                     f"{name}: line {lineno}: invalid JSON ({err.msg})"
                 ) from None
-            snaps.append(_parse_snapshot(obj, name, lineno, snaps[-1] if snaps else None))
-        return snaps
+            prev = _parse_snapshot(obj, name, lineno, prev)
+            yield prev
+
+
+def read_stream(path_or_file) -> list[GraphSnapshot]:
+    """Read a whole NDJSON snapshot stream into a list, with the checks of
+    iter_stream_file."""
+    return list(iter_stream_file(path_or_file))
 
 
 def _parse_snapshot(
@@ -127,7 +139,7 @@ def _parse_snapshot(
         fail(f'"{key}" contains a non-finite weight')
     if has_tri:
         w = np.zeros((n, n))
-        iu = np.triu_indices(n)
+        iu = _triu_cache(n)
         w[iu] = arr
         w.T[iu] = arr
     else:

@@ -4,13 +4,31 @@ Everything runs through main(argv) in-process: exit codes are the contract
 (0 success, 2 usage problems, 3 validity/calibration/format failures).
 """
 
+import contextlib
 import csv
+import io
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spectral_cusum import (
+    CONVENTIONS,
+    EXACT,
+    METHODS,
+    DetectorConfig,
+    StreamScenario,
+    assignment_from_sizes,
+    build_indicator,
+    iter_stream,
+    read_stream,
+    run_detector,
+    write_stream,
+)
 from spectral_cusum.cli import main
 
 
@@ -185,14 +203,52 @@ class TestDetect:
         assert "non-finite" in capsys.readouterr().err
 
     def test_non_increasing_time_is_a_format_error(self, tmp_path, capsys):
+        """b = 1000 keeps the run from alarming before the repeated line,
+        which detect reads only on its way to an alarm or the end."""
         stream = simulate_degenerate(tmp_path)
         lines = stream.read_text().splitlines()
         stream.write_text("\n".join(lines[:3] + [lines[2]] + lines[3:]) + "\n")
         code = main(
-            ["detect", str(stream), "--method", "exact", "--sizes", "2,1", "--out", str(tmp_path / "t.csv")]
+            [
+                "detect", str(stream),
+                "--method", "exact",
+                "--sizes", "2,1",
+                "--b", "1000",
+                "--out", str(tmp_path / "t.csv"),
+            ]
         )
         assert code == 3
         assert '"t" must increase' in capsys.readouterr().err
+
+    def test_lines_after_the_alarm_are_not_read(self, tmp_path, capsys):
+        """The alarm lands at t=3 (as in test_reproduces_the_deterministic_alarm);
+        a malformed line after it is never parsed, so the run succeeds."""
+        stream = simulate_degenerate(tmp_path)
+        with open(stream, "a") as fh:
+            fh.write('{"t": 7, "n": 3, "tri"\n')
+        trace = tmp_path / "trace.csv"
+        code = main(
+            ["detect", str(stream), "--method", "exact", "--sizes", "2,1", "--b", "12", "--out", str(trace)]
+        )
+        assert code == 0
+        assert "alarm at t=3" in capsys.readouterr().err
+        assert [r[0] for r in read_csv_rows(trace)[1:]] == ["1", "2", "3"]
+
+    def test_node_count_mismatch_names_both_counts(self, tmp_path, capsys):
+        """A stream of 5 nodes against an indicator built from --sizes 2,1
+        (3 rows) is a usage error that points at --sizes and --nodes, not
+        numpy's bare "shapes not aligned"."""
+        stream = tmp_path / "five.ndjson"
+        args = ["simulate", "--sizes", "2,1", "--nodes", "5", "--horizon", "3"]
+        assert main(args + ["--out", str(stream)]) == 0
+        code = main(
+            ["detect", str(stream), "--method", "exact", "--sizes", "2,1", "--out", str(tmp_path / "t.csv")]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "n=5 nodes" in err and "3 rows" in err
+        assert "--sizes" in err and "--nodes" in err
+        assert "not aligned" not in err
 
     def test_exact_method_without_sizes_is_a_usage_error(self, tmp_path, capsys):
         stream = simulate_degenerate(tmp_path)
@@ -201,6 +257,86 @@ class TestDetect:
         )
         assert code == 2
         assert "sizes" in capsys.readouterr().err
+
+
+class TestStreamingDetect:
+    """detect reads its stream lazily: the same trace as a run over the
+    whole file read into a list, in memory that does not grow with the file."""
+
+    @given(
+        method=st.sampled_from(METHODS),
+        convention=st.sampled_from(CONVENTIONS),
+        sizes=st.sampled_from([(2, 1), (3, 2)]),
+        extra=st.integers(0, 2),
+        horizon=st.integers(1, 16),
+        tau=st.integers(0, 16),
+        w=st.integers(1, 4),
+        b=st.sampled_from([0.5, 3.0, 1000.0]),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_streamed_and_listed_input_give_the_same_run(
+        self, tmp_path_factory, method, convention, sizes, extra, horizon, tau, w, b, seed
+    ):
+        n = sum(sizes) + extra
+        path = tmp_path_factory.mktemp("stream") / "s.ndjson"
+        scenario = StreamScenario(
+            assignment=assignment_from_sizes(sizes, n=n),
+            sigma=1.0,
+            tau=tau,
+            horizon=horizon,
+            seed=seed,
+            convention=convention,
+        )
+        write_stream(iter_stream(scenario), path)
+        if method == EXACT:
+            flags = ["--sizes", ",".join(map(str, sizes)), "--nodes", str(n)]
+            config = DetectorConfig(
+                method=EXACT, b=b, A=build_indicator(assignment_from_sizes(sizes, n=n))
+            )
+        else:
+            flags = ["--m", "2", "--window", str(w)]
+            config = DetectorConfig(method=method, b=b, m=2, w=w)
+        trace = path.with_suffix(".csv")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["detect", str(path), "--method", method, *flags, "--b", repr(b),
+                         "--out", str(trace)])
+        assert code == 0
+
+        snapshots = read_stream(path)
+        want = run_detector(snapshots, config)
+        rows = read_csv_rows(trace)[1:]
+        assert [(int(t) - config.lag, float(s)) for t, s, _ in rows] == want.trajectory
+        assert [int(a) for _, _, a in rows] == [int(s >= b) for _, s in want.trajectory]
+        if want.stop_time is None:
+            assert err.getvalue() == f"no alarm in {len(snapshots)} snapshots\n"
+        else:
+            assert err.getvalue() == f"alarm at t={want.stop_time}\n"
+
+    def test_peak_memory_does_not_grow_with_the_stream(self, tmp_path):
+        """Ten times the snapshots (n = 40, no alarm) must not raise the
+        traced peak by a tenth of what holding the extra 540 snapshots
+        would take: detect keeps its w-snapshot window, not the file."""
+        n, window = 40, 5
+        peaks = {}
+        for horizon in (60, 600):
+            stream = tmp_path / f"s{horizon}.ndjson"
+            args = ["simulate", "--sizes", "20,10", "--nodes", str(n), "--horizon", str(horizon)]
+            assert main(args + ["--out", str(stream)]) == 0
+            argv = ["detect", str(stream), "--method", "spectral", "--m", "2",
+                    "--window", str(window), "--b", "1e9", "--out", str(tmp_path / "t.csv")]
+            err = io.StringIO()
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stderr(err):
+                    assert main(argv) == 0
+                peaks[horizon] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert err.getvalue() == f"no alarm in {horizon} snapshots\n"
+        held = (600 - 60) * n * n * 8
+        assert peaks[600] - peaks[60] < held / 10, peaks
 
 
 class TestSeedFlag:

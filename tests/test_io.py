@@ -19,6 +19,7 @@ from spectral_cusum import (
     StreamScenario,
     assignment_from_sizes,
     build_indicator,
+    iter_stream_file,
     make_stream,
     parse_config,
     read_sensor_csv,
@@ -60,6 +61,13 @@ class TestStreamRoundTrip:
         assert write_stream([GraphSnapshot(t=1, weights=np.eye(2))], fh) == 1
         assert json.loads(fh.getvalue()) == {"t": 1, "n": 2, "tri": [1.0, 0.0, 1.0]}
 
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2), ()])
+    def test_weights_must_be_a_square_matrix(self, shape):
+        """A (2, 3) snapshot would be written as a "full" line of six numbers
+        for n = 2, which the reader refuses; it is refused when built."""
+        with pytest.raises(ValueError, match="square 2-D array"):
+            GraphSnapshot(t=1, weights=np.zeros(shape))
+
     def test_symmetric_streams_use_the_triangular_layout(self, tmp_path):
         path = tmp_path / "stream.ndjson"
         write_stream(make_stream(scenario()), path)
@@ -93,6 +101,38 @@ class TestStreamRoundTrip:
         write_stream(make_stream(scenario()), path)
         path.write_text(path.read_text().replace("\n", "\n\n"))
         assert len(read_stream(path)) == 3
+
+
+class TestLazyReader:
+    def test_reads_a_line_only_when_its_snapshot_is_asked_for(self, tmp_path):
+        """Snapshots before a malformed line come out first; the error is
+        raised only when the consumer asks for the snapshot on that line."""
+        path = tmp_path / "stream.ndjson"
+        write_stream(make_stream(scenario()), path)
+        with open(path, "a") as fh:
+            fh.write('{"t": 4, "n": 3, "tri"\n')
+        snapshots = iter_stream_file(path)
+        assert [next(snapshots).t for _ in range(3)] == [1, 2, 3]
+        with pytest.raises(StreamFormatError, match="line 4"):
+            next(snapshots)
+
+    def test_closing_early_closes_the_file(self, tmp_path):
+        path = tmp_path / "stream.ndjson"
+        write_stream(make_stream(scenario()), path)
+        snapshots = iter_stream_file(path)
+        next(snapshots)
+        fh = snapshots.gi_frame.f_locals["fh"]
+        snapshots.close()
+        assert fh.closed
+
+    def test_a_callers_file_stays_open(self):
+        buf = io.StringIO()
+        write_stream(make_stream(scenario()), buf)
+        buf.seek(0)
+        snapshots = iter_stream_file(buf)
+        next(snapshots)
+        snapshots.close()
+        assert not buf.closed
 
 
 class TestStreamErrors:
