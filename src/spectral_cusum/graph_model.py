@@ -9,6 +9,7 @@ nonzero eigenvalues of AA^T.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -140,8 +141,8 @@ def sample_snapshot(
     is drawn independently and mirrored, so G = G^T holds bit-exactly. Under
     "iid-full" all n^2 entries are drawn independently and no symmetry holds.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     mean = np.asarray(mean, dtype=float)
@@ -187,8 +188,8 @@ class StreamScenario:
     convention: str = SYMMETRIC
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError("sigma must be finite and nonnegative")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.tau is not None and self.tau < 0:

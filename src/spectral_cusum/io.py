@@ -67,12 +67,27 @@ def write_stream(stream, path_or_file) -> int:
 _STREAM_KEYS = {"t", "n", "tri", "full"}
 
 
+def _unique_keys(pairs):
+    """Build a stream line's object, refusing a repeated key rather than
+    letting its last value win."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [k for k, _ in pairs]
+        dup = next(k for k in obj if keys.count(k) > 1)
+        raise StreamFormatError(f"duplicate key {dup!r}")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
 def iter_stream_file(path_or_file) -> Iterator[GraphSnapshot]:
     """Yield the snapshots of an NDJSON stream one line at a time; an empty
     file is an empty stream.
 
-    Every weight must be finite (NaN, Infinity and overflowing literals such
-    as 1e999 are rejected) and "t" must increase strictly from line to line.
+    No key may repeat within a line, the weights must be a flat list, every
+    weight must be finite (NaN, Infinity and overflowing literals such as
+    1e999 are rejected) and "t" must increase strictly from line to line.
     A line is read and checked only when its snapshot is asked for, so a
     consumer that stops early leaves the rest of the file unread; a path is
     opened on the first request and closed at the end of the file or when
@@ -85,11 +100,13 @@ def iter_stream_file(path_or_file) -> Iterator[GraphSnapshot]:
             if not line or line.isspace():
                 continue
             try:
-                obj = json.loads(line)
+                obj = _DECODER.decode(line)
             except json.JSONDecodeError as err:
                 raise StreamFormatError(
                     f"{name}: line {lineno}: invalid JSON ({err.msg})"
                 ) from None
+            except StreamFormatError as err:
+                raise StreamFormatError(f"{name}: line {lineno}: {err}") from None
             prev = _parse_snapshot(obj, name, lineno, prev)
             yield prev
 
@@ -135,6 +152,8 @@ def _parse_snapshot(
         arr = np.array(vals, dtype=float)
     except (TypeError, ValueError, OverflowError):
         fail(f'"{key}" contains a non-numeric entry')
+    if arr.ndim != 1:
+        fail(f'"{key}" must be a flat list of numbers, not a nested one')
     if not np.isfinite(arr).all():
         fail(f'"{key}" contains a non-finite weight')
     if has_tri:

@@ -22,9 +22,11 @@ import numpy as np
 from .detect import EXACT, SPECTRAL, DetectorConfig, iter_statistic, run_detector
 from .graph_model import (
     _CACHE_MAXSIZE,
+    IID_FULL,
     SYMMETRIC,
     CommunityAssignment,
     StreamScenario,
+    assignment_from_sizes,
     build_indicator,
     iter_stream,
     mean_matrix,
@@ -34,7 +36,6 @@ from .theory import ValidityError, drift_for_delta
 
 _CHUNK = 512
 _FIRST_PIECE = 16
-_EQUALIZER_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -359,30 +360,43 @@ class DriftMcResult:
     post: McEstimate
 
 
+def _first_increments(
+    scenario: StreamScenario, cfg: DetectorConfig, replications: int, master_seed: int, offset: int
+) -> list[float]:
+    """First increment of the windowed statistic in each replication.
+
+    Replication i draws from key (master_seed, 2i + offset) one scored
+    snapshot and the window of cfg.w snapshots strictly after it, so the
+    snapshot is independent of its projector, and scores it with
+    iter_statistic: the increment is tr(G P) - cfg.d.
+    """
+    sc = replace(scenario, horizon=cfg.w + 1)
+    incs = []
+    for i in range(replications):
+        rng = rng_from_key(master_seed, 2 * i + offset)
+        _, inc, _ = next(iter_statistic(iter_stream(sc, rng=rng), cfg))
+        incs.append(inc)
+    return incs
+
+
 def estimate_drift_mc(
     scenario: StreamScenario, m: int, w: int, replications: int, master_seed: int = 0
 ) -> DriftMcResult:
     """Measure the pre- and post-change drift of tr(G P) empirically.
 
-    Each replication draws one scored snapshot plus the window of w snapshots
-    strictly after it, so the snapshot is independent of the estimated
-    projector, and scores it with the spectral detector's own statistic:
-    tr(G P) is the first increment plus the drift d. The scenario's tau is
-    replaced internally (no change for the pre phase, immediate change for
-    post).
+    Each replication scores one snapshot against the window after it with
+    the spectral detector's own statistic (see _first_increments): tr(G P)
+    is the first increment plus the drift d. The scenario's tau is replaced
+    internally (no change for the pre phase, immediate change for post).
     """
     if replications < 1:
         raise ValueError("need at least one replication")
     cfg = DetectorConfig(method=SPECTRAL, b=math.inf, m=m, w=w)
 
     def phase(tau, offset: int) -> McEstimate:
-        sc = replace(scenario, tau=tau, horizon=w + 1)
-        vals = []
-        for i in range(replications):
-            rng = rng_from_key(master_seed, 2 * i + offset)
-            _, inc, _ = next(iter_statistic(iter_stream(sc, rng=rng), cfg))
-            vals.append(inc + cfg.d)
-        return _summarize(vals)
+        sc = replace(scenario, tau=tau)
+        incs = _first_increments(sc, cfg, replications, master_seed, offset)
+        return _summarize([inc + cfg.d for inc in incs])
 
     return DriftMcResult(pre=phase(None, 0), post=phase(0, 1))
 
@@ -399,21 +413,21 @@ def verify_equalizer_mc(
     """Monte Carlo estimate of the tilted-increment moment
     E[exp(delta (tr(G P) - d))] under no change, with d = drift_for_delta.
 
-    Sampling uses the iid-full convention (all n^2 entries independent), the
-    window mean is symmetrized before eigendecomposition, and the scored
-    snapshot is independent of its window. delta = 0 is the degenerate case
-    with value exactly 1. The guard delta * sigma * sqrt(2m) <= 1 keeps the
-    exponential moment's Monte Carlo variance manageable; violating it warns
-    and refuses.
+    The increments are the spectral detector's own (see _first_increments)
+    on an all-background stream of n nodes under the iid-full convention
+    (all n^2 entries independent), so the scored snapshot is independent of
+    its window. delta = 0 is the degenerate case with value exactly 1. The
+    guard delta * sigma * sqrt(2m) <= 1 keeps the exponential moment's Monte
+    Carlo variance manageable; violating it warns and refuses.
     """
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if w < 1:
         raise ValueError("window length must be at least 1")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if delta < 0:
-        raise ValueError("delta must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError("sigma must be finite and nonnegative")
+    if not 0 <= delta < math.inf:
+        raise ValueError("delta must be finite and nonnegative")
     if replications < 1:
         raise ValueError("need at least one replication")
     if delta == 0:
@@ -431,19 +445,9 @@ def verify_equalizer_mc(
     d = drift_for_delta(delta, sigma, m)
     if sigma == 0:
         return math.exp(-delta * d)
-    rng = rng_from_key(master_seed, 0)
-    total = 0.0
-    done = 0
-    while done < replications:
-        k = min(_EQUALIZER_CHUNK, replications - done)
-        windows = sigma * rng.standard_normal((k, w, n, n))
-        gbar = windows.mean(axis=1)
-        gbar = 0.5 * (gbar + gbar.transpose(0, 2, 1))
-        _, evecs = np.linalg.eigh(gbar)
-        v = evecs[:, :, n - m :]
-        p = v @ v.transpose(0, 2, 1)
-        g = sigma * rng.standard_normal((k, n, n))
-        tr = np.einsum("bij,bij->b", g, p)
-        total += float(np.exp(delta * (tr - d)).sum())
-        done += k
-    return total / replications
+    sc = StreamScenario(
+        assignment_from_sizes((), n=n), sigma=sigma, tau=None, horizon=w + 1, convention=IID_FULL
+    )
+    cfg = DetectorConfig(method=SPECTRAL, b=math.inf, m=m, w=w, d=d)
+    incs = _first_increments(sc, cfg, replications, master_seed, 0)
+    return float(np.exp(delta * np.array(incs)).mean())

@@ -84,6 +84,17 @@ class TestSimulate:
         assert main(["simulate", "--sizes", "2,x", "--horizon", "3"]) == 2
 
 
+    @pytest.mark.parametrize("sigma", ["nan", "inf"])
+    def test_non_finite_sigma_is_a_usage_error(self, tmp_path, capsys, sigma):
+        """--sigma nan used to exit 0 and write NaN weights that read_stream
+        refuses."""
+        out = tmp_path / "s.ndjson"
+        args = ["simulate", "--sizes", "2", "--nodes", "3", "--sigma", sigma, "--horizon", "2"]
+        assert main(args + ["--out", str(out)]) == 2
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestDetect:
     def test_reproduces_the_deterministic_alarm(self, tmp_path, capsys):
         stream = simulate_degenerate(tmp_path)
@@ -201,6 +212,38 @@ class TestDetect:
             code = main(["detect", str(stream), *method_flags, "--out", str(tmp_path / "t.csv")])
         assert code == 3
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "n,bad,message",
+        [
+            (1, '{"t":1,"n":1,"tri":[[1.0]]}', '"tri" must be a flat list'),
+            (2, '{"t":1,"n":2,"full":[[1,2],[3,4],[5,6],[7,8]]}', '"full" must be a flat list'),
+            (2, '{"t":1,"n":2,"tri":[[1],[2],[3]]}', '"tri" must be a flat list'),
+            (1, '{"t":1,"t":2,"n":1,"tri":[1.0]}', "duplicate key 't'"),
+        ],
+        ids=["nested-tri", "nested-full", "column-tri", "duplicate-key"],
+    )
+    def test_malformed_weight_lines_are_format_errors_with_their_line(
+        self, tmp_path, capsys, n, bad, message
+    ):
+        """A nested list used to be accepted or to exit 2 with numpy's bare
+        reshape or broadcast message, and a repeated key silently kept its
+        last value."""
+        stream = tmp_path / "bad.ndjson"
+        good = json.dumps({"t": 0, "n": n, "tri": [0.0] * (n * (n + 1) // 2)})
+        stream.write_text(good + "\n" + bad + "\n")
+        code = main(
+            [
+                "detect", str(stream),
+                "--method", "exact",
+                "--sizes", str(n),
+                "--b", "1000",
+                "--out", str(tmp_path / "t.csv"),
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"line 2: {message}" in err
 
     def test_non_increasing_time_is_a_format_error(self, tmp_path, capsys):
         """b = 1000 keeps the run from alarming before the repeated line,
@@ -479,6 +522,15 @@ class TestCalibrateAndBench:
             ]
         )
         assert code == 3
+
+    def test_calibrate_with_a_nan_sigma_is_a_usage_error(self, tmp_path, capsys):
+        """It used to exit 3 with "no threshold reaches the target run length"."""
+        out = tmp_path / "cal.json"
+        args = ["calibrate", "--target", "20", "--sizes", "2,1", "--sigma", "nan"]
+        code = main(args + ["--method", "exact", "--reps", "20", "--out", str(out)])
+        assert code == 2
+        assert "sigma must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_emits_an_ordered_oc_table(self, tmp_path):
         out = tmp_path / "oc.csv"

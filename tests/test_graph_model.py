@@ -1,5 +1,7 @@
 """Tests for community assignments, indicator matrices, and snapshot streams."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -150,6 +152,12 @@ class TestSampleSnapshot:
         with pytest.raises(ValueError):
             sample_snapshot(np.zeros((2, 2)), -1.0, SYMMETRIC, rng_from_key(0))
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        """NaN slipped past a bare sigma < 0 check and drew NaN weights."""
+        with pytest.raises(ValueError, match="finite"):
+            sample_snapshot(np.zeros((2, 2)), sigma, SYMMETRIC, rng_from_key(0))
+
     def test_rejects_unknown_convention(self):
         with pytest.raises(ValueError):
             sample_snapshot(np.zeros((2, 2)), 1.0, "upper", rng_from_key(0))
@@ -237,6 +245,9 @@ class TestStream:
             self.scenario(horizon=0)
         with pytest.raises(ValueError):
             self.scenario(sigma=-0.5)
+        for sigma in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                self.scenario(sigma=sigma)
         with pytest.raises(ValueError):
             self.scenario(tau=-1)
         with pytest.raises(ValueError):

@@ -32,6 +32,7 @@ from spectral_cusum import (
     build_indicator,
     calibrate_threshold,
     cusum_update,
+    drift_for_delta,
     estimate_arl,
     estimate_drift_mc,
     estimate_edd,
@@ -546,23 +547,32 @@ class TestOcCurve:
         assert exact_row.edd <= spectral_row.edd + 2.0 * pooled
 
 
+def window_buffer_values(scenario, m, w, replications, master_seed, offset):
+    """Slow twin of the first-increment sampler: replication i, drawn from key
+    (master_seed, 2i + offset), fills a WindowBuffer with the w snapshots
+    after the first and dots the first snapshot with the window's projector,
+    instead of scoring through the detector's statistic. Returns tr(G P) per
+    replication."""
+    sc = replace(scenario, horizon=w + 1)
+    vals = np.empty(replications)
+    for i in range(replications):
+        rng = rng_from_key(master_seed, 2 * i + offset)
+        snaps = list(iter_stream(sc, rng=rng))
+        buf = WindowBuffer(w)
+        for s in snaps[1:]:
+            buf.push(s)
+        p = projector(estimate_subspace(buf, m))
+        vals[i] = float(np.dot(snaps[0].weights.ravel(), p.ravel()))
+    return vals
+
+
 def window_buffer_drift(scenario, m, w, replications, master_seed=0):
-    """Slow twin of estimate_drift_mc: each replication fills a WindowBuffer
-    with the w snapshots after the first and dots the first snapshot with the
-    window's projector, instead of scoring through the detector's statistic.
+    """Slow twin of estimate_drift_mc over window_buffer_values.
     Returns {phase: (mean, se)}."""
     means = {}
-    for phase, tau in (("pre", None), ("post", 0)):
-        sc = replace(scenario, tau=tau, horizon=w + 1)
-        vals = np.empty(replications)
-        for i in range(replications):
-            rng = rng_from_key(master_seed, 2 * i + (0 if phase == "pre" else 1))
-            snaps = list(iter_stream(sc, rng=rng, horizon=w + 1))
-            buf = WindowBuffer(w)
-            for s in snaps[1:]:
-                buf.push(s)
-            p = projector(estimate_subspace(buf, m))
-            vals[i] = float(np.dot(snaps[0].weights.ravel(), p.ravel()))
+    for phase, tau, offset in (("pre", None, 0), ("post", 0, 1)):
+        sc = replace(scenario, tau=tau)
+        vals = window_buffer_values(sc, m, w, replications, master_seed, offset)
         se = float(vals.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
         means[phase] = (float(vals.mean()), se)
     return means
@@ -657,6 +667,38 @@ class TestEqualizerMc:
         assert want == pytest.approx(0.13963, rel=1e-4)
         assert got == pytest.approx(want, rel=0.05)
 
+    @pytest.mark.parametrize(
+        "n,m,w,sigma,delta,replications,seed",
+        [
+            (10, 2, 30, 0.5, 0.5, 300, 3),
+            (6, 1, 4, 0.3, 1.2, 300, 7),
+            (4, 4, 3, 0.5, 0.3, 100, 1),
+            (5, 2, 1, 0.4, 0.8, 100, 2),
+        ],
+    )
+    def test_matches_the_window_buffer_twin(self, n, m, w, sigma, delta, replications, seed):
+        """The moment is the mean of exp(delta (x - d)) over the twin's
+        pre-change values x = tr(G P), on the same keys as estimate_drift_mc's
+        pre phase; m = n and w = 1 are the edge cases."""
+        sc = StreamScenario(
+            assignment=assignment_from_sizes((), n=n),
+            sigma=sigma,
+            tau=None,
+            horizon=1,
+            convention=IID_FULL,
+        )
+        d = drift_for_delta(delta, sigma, m)
+        x = window_buffer_values(sc, m, w, replications, seed, 0)
+        want = float(np.mean(np.exp(delta * (x - d))))
+        got = verify_equalizer_mc(n, m, w, sigma, delta, replications, master_seed=seed)
+        assert got == pytest.approx(want, rel=1e-12)
+
+    def test_is_a_pure_function_of_the_seed(self):
+        args = (6, 2, 4, 0.5, 0.5, 50)
+        first = verify_equalizer_mc(*args, master_seed=5)
+        assert verify_equalizer_mc(*args, master_seed=5) == first
+        assert verify_equalizer_mc(*args, master_seed=6) != first
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             verify_equalizer_mc(10, 0, 30, 0.5, 0.5, replications=10)
@@ -668,6 +710,12 @@ class TestEqualizerMc:
             verify_equalizer_mc(10, 2, 30, -0.5, 0.5, replications=10)
         with pytest.raises(ValueError):
             verify_equalizer_mc(10, 2, 30, 0.5, -0.5, replications=10)
+        with pytest.raises(ValueError):
+            verify_equalizer_mc(10, 2, 30, math.nan, 0.5, replications=10)
+        with pytest.raises(ValueError):
+            verify_equalizer_mc(10, 2, 30, 0.5, math.nan, replications=10)
+        with pytest.raises(ValueError):
+            verify_equalizer_mc(10, 2, 30, 0.0, math.inf, replications=10)
         with pytest.raises(ValueError):
             verify_equalizer_mc(10, 2, 30, 0.5, 0.5, replications=0)
 
