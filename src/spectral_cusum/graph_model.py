@@ -148,9 +148,7 @@ def sample_snapshot(
     mean = np.asarray(mean, dtype=float)
     if mean.ndim != 2 or mean.shape[0] != mean.shape[1]:
         raise ValueError("mean must be a square matrix")
-    n = mean.shape[0]
-    weights = _draw_weights(mean, sigma, convention, rng, n)
-    return GraphSnapshot(t=t, weights=weights)
+    return GraphSnapshot(t=t, weights=_draw_block([(mean, 1)], sigma, convention, rng)[0])
 
 
 @lru_cache(maxsize=_CACHE_MAXSIZE)
@@ -158,17 +156,38 @@ def _triu_cache(n: int):
     return np.triu_indices(n)
 
 
-def _draw_weights(mean, sigma, convention, rng, n):
+def _draw_block(runs, sigma, convention, rng) -> np.ndarray:
+    """Weights of consecutive snapshots as one (k, n, n) block: runs holds
+    (mean, count) pairs, and the block's rows are count snapshots about each
+    mean in turn.
+
+    The k rows' normal draws come from one 1-D standard_normal call and are
+    used in row order; the generator fills them in sequence, so the block
+    holds the bits that k one-snapshot draws would. sigma = 0 draws nothing.
+    """
+    n = runs[0][0].shape[0]
     if sigma == 0:
-        return mean.copy()
-    if convention == SYMMETRIC:
-        iu = _triu_cache(n)
-        vals = mean[iu] + sigma * rng.standard_normal(iu[0].size)
-        w = np.empty((n, n))
-        w[iu] = vals
-        w.T[iu] = vals
-        return w
-    return mean + sigma * rng.standard_normal((n, n))
+        return np.concatenate([np.broadcast_to(mean, (count, n, n)) for mean, count in runs])
+    k = sum(count for _, count in runs)
+    iu = _triu_cache(n) if convention == SYMMETRIC else None
+    d = n * n if iu is None else iu[0].size
+    vals = sigma * rng.standard_normal(k * d).reshape(k, d)
+    row = 0
+    for mean, count in runs:
+        vals[row : row + count] += mean.ravel() if iu is None else mean[iu]
+        row += count
+    if iu is None:
+        return vals.reshape(k, n, n)
+    block = np.empty((k, n, n))
+    block[:, iu[0], iu[1]] = vals
+    block.transpose(0, 2, 1)[:, iu[0], iu[1]] = vals
+    return block
+
+
+def _block_rows(n: int) -> int:
+    """Snapshots iter_stream draws at a time: at most 16, and at most 64 KB
+    of weights, but at least one."""
+    return max(1, min(16, (1 << 16) // (8 * n * n)))
 
 
 @dataclass(frozen=True)
@@ -209,6 +228,9 @@ def iter_stream(
     generators) overrides the scenario seed; an explicit horizon overrides
     the scenario horizon. Draws happen in time order, so a longer horizon
     extends a shorter stream of the same scenario without changing its prefix.
+    Snapshots are drawn a block of up to 16 at a time (see _block_rows) and
+    their weights are views into that block; a block never reaches past the
+    horizon, and the bits are those of one draw per snapshot.
     """
     if rng is None:
         rng = rng_from_key(scenario.seed, 0)
@@ -217,13 +239,16 @@ def iter_stream(
     a = build_indicator(scenario.assignment)
     post_mean = mean_matrix(a)
     pre_mean = np.zeros_like(post_mean)
-    n = scenario.assignment.n
     tau = scenario.tau
-    sigma = scenario.sigma
-    convention = scenario.convention
-    for t in range(1, horizon + 1):
-        mean = post_mean if (tau is not None and t > tau) else pre_mean
-        yield GraphSnapshot(t=t, weights=_draw_weights(mean, sigma, convention, rng, n))
+    rows = _block_rows(scenario.assignment.n)
+    for start in range(1, horizon + 1, rows):
+        k = min(rows, horizon + 1 - start)
+        pre = k if tau is None else min(max(tau + 1 - start, 0), k)
+        block = _draw_block(
+            [(pre_mean, pre), (post_mean, k - pre)], scenario.sigma, scenario.convention, rng
+        )
+        for i in range(k):
+            yield GraphSnapshot(t=start + i, weights=block[i])
 
 
 def make_stream(scenario: StreamScenario) -> list[GraphSnapshot]:

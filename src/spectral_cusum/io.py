@@ -85,9 +85,10 @@ def iter_stream_file(path_or_file) -> Iterator[GraphSnapshot]:
     """Yield the snapshots of an NDJSON stream one line at a time; an empty
     file is an empty stream.
 
-    No key may repeat within a line, the weights must be a flat list, every
-    weight must be finite (NaN, Infinity and overflowing literals such as
-    1e999 are rejected) and "t" must increase strictly from line to line.
+    No key may repeat within a line, the weights must be a flat list of JSON
+    numbers (never strings, booleans or null), every weight must be finite
+    (NaN, Infinity and overflowing literals such as 1e999 are rejected) and
+    "t" must increase strictly from line to line.
     A line is read and checked only when its snapshot is asked for, so a
     consumer that stops early leaves the rest of the file unread; a path is
     opened on the first request and closed at the end of the file or when
@@ -107,7 +108,7 @@ def iter_stream_file(path_or_file) -> Iterator[GraphSnapshot]:
                 ) from None
             except StreamFormatError as err:
                 raise StreamFormatError(f"{name}: line {lineno}: {err}") from None
-            prev = _parse_snapshot(obj, name, lineno, prev)
+            prev = _parse_snapshot(obj, line, name, lineno, prev)
             yield prev
 
 
@@ -118,7 +119,7 @@ def read_stream(path_or_file) -> list[GraphSnapshot]:
 
 
 def _parse_snapshot(
-    obj, name: str, lineno: int, prev: GraphSnapshot | None
+    obj, line: str, name: str, lineno: int, prev: GraphSnapshot | None
 ) -> GraphSnapshot:
     def fail(msg: str):
         raise StreamFormatError(f"{name}: line {lineno}: {msg}")
@@ -148,6 +149,15 @@ def _parse_snapshot(
     vals = obj[key]
     if not isinstance(vals, list) or len(vals) != want:
         fail(f'"{key}" must be a list of {want} numbers for n={n}')
+    # np.array(..., dtype=float) would take true as 1.0 and "1.5" as 1.5, so
+    # only ints and floats pass. The keys are known and t and n are ints, so
+    # the first "[" and the last "]" bound the weights' text. A string there
+    # holds a quote, true and null a "u", false an "a"; no JSON number holds
+    # any of the three, so a line without them skips the type check.
+    lo, hi = line.index("["), line.rindex("]")
+    screened = any(line.find(c, lo, hi) >= 0 for c in '"au')
+    if screened and not set(map(type, vals)) <= {int, float}:
+        fail(f'"{key}" must hold JSON numbers only, not strings, booleans or null')
     try:
         arr = np.array(vals, dtype=float)
     except (TypeError, ValueError, OverflowError):

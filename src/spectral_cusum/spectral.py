@@ -4,6 +4,13 @@ The detector estimates the unknown community subspace from the average of a
 window of recent snapshots: the top-m eigenvectors of the window mean span the
 estimated subspace, and their outer product is the rank-m projector the
 detection statistic uses.
+
+Both ways to that projector solve through one binding, LAPACKE_dsyevr_work
+from the OpenBLAS in numpy's wheel, with np.linalg.eigh as the fallback where
+that library or symbol is missing. WindowProjector is the detector's kernel:
+it sums the window and solves in arrays it keeps from step to step.
+projector(estimate_subspace(buffer, m)) is its slow, obvious twin, built
+from sliding_mean and top_m_eigs, and gives the same bits.
 """
 
 from __future__ import annotations
@@ -14,10 +21,11 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
 import numpy as np
 
-from .graph_model import GraphSnapshot
+from .graph_model import _CACHE_MAXSIZE, GraphSnapshot
 
 ASYMMETRY_TOL = 1e-9
 
@@ -27,12 +35,13 @@ ASYMMETRY_TOL = 1e-9
 _OPENBLAS_GLOB = os.path.join(
     os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs", "libscipy_openblas64_*.so"
 )
-_DSYEVR_SYMBOL = "scipy_LAPACKE_dsyevr64_"
+_DSYEVR_SYMBOL = "scipy_LAPACKE_dsyevr_work64_"
 _COL_MAJOR = 102
 
 
 def _load_dsyevr():
-    """LAPACKE_dsyevr from numpy's bundled OpenBLAS, or None if it is absent."""
+    """LAPACKE_dsyevr_work from numpy's bundled OpenBLAS, or None if it is
+    absent. The caller passes the workspace, so none is allocated per call."""
     paths = sorted(glob.glob(_OPENBLAS_GLOB))
     if not paths:
         return None
@@ -42,14 +51,18 @@ def _load_dsyevr():
         return None
     i64, f64, ptr = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
     c = ctypes.c_char
-    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol,
-    # m found, w, z, ldz, isuppz; lapack_int is 64 bits in this ILP64 build
+    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m found,
+    # w, z, ldz, isuppz, work, lwork, iwork, liwork; every array, m found
+    # included, is passed as its address; lapack_int is 64 bits in this
+    # ILP64 build
     fn.argtypes = [
         ctypes.c_int, c, c, c, i64, ptr, i64, f64, f64, i64, i64, f64,
-        ctypes.POINTER(i64), ptr, ptr, i64, ptr,
+        ptr, ptr, ptr, i64, ptr, ptr, i64, ptr, i64,
     ]
     fn.restype = i64
-    return fn
+    # wrapped because a ctypes function does not hash, and _workspace_sizes
+    # keys its cache by the binding
+    return partial(fn)
 
 
 _DSYEVR = _load_dsyevr()
@@ -58,6 +71,9 @@ _DSYEVR = _load_dsyevr()
 class NumericalError(ValueError):
     """The data drove the statistic out of the finite numbers: a non-finite
     matrix or increment, or an eigensolve that failed."""
+
+
+_NON_FINITE = "matrix has non-finite entries (NaN or infinity)"
 
 
 class WindowBuffer:
@@ -128,16 +144,18 @@ def top_m_eigs(matrix: np.ndarray, m: int) -> SpectralEstimate:
     """Top-m eigenpairs of a symmetric matrix, in descending eigenvalue order.
 
     Only the top m pairs are solved for, with LAPACK's MRRR solver dsyevr
-    (index range n-m+1..n) from the OpenBLAS that numpy's wheel ships. Where
-    that library or its symbol is missing, every pair comes from
-    np.linalg.eigh and the top m are kept. Either solver reads the lower
-    triangle. The solver is deterministic: repeated eigenvalues keep its
-    ascending output order, reversed, and each eigenvector is sign-normalized
-    so its largest-magnitude entry (first such entry on ties) is positive.
-    The two solvers may pick different bases of a repeated eigenvalue's
-    eigenspace. Residuals satisfy ||Mv - lambda v|| <= 1e-8 * max(1, ||M||_F)
-    per pair. A matrix with a NaN or infinite entry raises NumericalError; a
-    failed solve raises np.linalg.LinAlgError.
+    (index range n-m+1..n) through the LAPACKE_dsyevr_work binding into the
+    OpenBLAS that numpy's wheel ships. Where that library or its symbol is
+    missing, every pair comes from np.linalg.eigh and the top m are kept.
+    WindowProjector, the detector's kernel, solves through the same binding
+    and fallback. Either solver reads the lower triangle. The solver is
+    deterministic: repeated eigenvalues keep its ascending output order,
+    reversed, and each eigenvector is sign-normalized so its
+    largest-magnitude entry (first such entry on ties) is positive. The two
+    solvers may pick different bases of a repeated eigenvalue's eigenspace.
+    Residuals satisfy ||Mv - lambda v|| <= 1e-8 * max(1, ||M||_F) per pair.
+    A matrix with a NaN or infinite entry raises NumericalError; a failed
+    solve raises np.linalg.LinAlgError.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -149,39 +167,85 @@ def top_m_eigs(matrix: np.ndarray, m: int) -> SpectralEstimate:
     with np.errstate(invalid="ignore"):
         asym = float(np.max(np.abs(matrix - matrix.T)))
     if not math.isfinite(asym):
-        raise NumericalError("matrix has non-finite entries (NaN or infinity)")
+        raise NumericalError(_NON_FINITE)
     if asym > ASYMMETRY_TOL:
         raise ValueError(
             f"matrix is not symmetric: max|M - M^T| = {asym:.3e} exceeds {ASYMMETRY_TOL}"
         )
-    if _DSYEVR is None:
-        evals, evecs = np.linalg.eigh(matrix)
-        order = np.arange(n - 1, n - m - 1, -1)
-        top_vals = np.ascontiguousarray(evals[order])
-        top_vecs = np.ascontiguousarray(evecs[:, order])
-    else:
-        top_vals, top_vecs = _dsyevr_top(matrix, m)
+    solve = _TopPairs(n, m)
+    np.copyto(solve.a, matrix)
+    vals, vecs = solve()
+    top_vecs = np.ascontiguousarray(vecs[:, ::-1])
     _fix_signs(top_vecs)
-    return SpectralEstimate(eigenvalues=top_vals, eigenvectors=top_vecs)
+    return SpectralEstimate(eigenvalues=vals[::-1].copy(), eigenvectors=top_vecs)
 
 
-def _dsyevr_top(matrix: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Top m eigenpairs, descending, from LAPACKE_dsyevr on a checked matrix."""
-    n = matrix.shape[0]
-    a = np.array(matrix, order="F")  # a copy: dsyevr overwrites its input
-    evals = np.empty(n)
-    evecs = np.empty((n, m), order="F")
-    isuppz = np.empty(2 * m, dtype=np.int64)
-    found = ctypes.c_int64()
-    info = _DSYEVR(
+def _dsyevr_args(n, m, a, w, z, found, isuppz, work, lwork, iwork, liwork) -> tuple:
+    """LAPACKE_dsyevr_work's arguments for the top m eigenpairs (index range
+    n-m+1..n, ascending) of the column-major n x n matrix in a."""
+    return (
         _COL_MAJOR, b"V", b"I", b"L", n, a.ctypes.data, n, 0.0, 0.0, n - m + 1, n, 0.0,
-        ctypes.byref(found), evals.ctypes.data, evecs.ctypes.data, n, isuppz.ctypes.data,
+        found.ctypes.data, w.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data,
+        work.ctypes.data, lwork, iwork.ctypes.data, liwork,
     )
-    if info != 0 or found.value != m:
-        raise np.linalg.LinAlgError(
-            f"dsyevr failed: info={info}, found {found.value} of {m} eigenpairs"
+
+
+@lru_cache(maxsize=_CACHE_MAXSIZE)
+def _workspace_sizes(solver, n: int, m: int) -> tuple[int, int]:
+    """dsyevr's optimal (lwork, liwork) at (n, m), from its workspace query
+    (lwork = liwork = -1), as LAPACKE_dsyevr sizes them. Keyed by the
+    binding too, so a stand-in binding gets its own answer."""
+    work = np.zeros(1)
+    iwork = np.zeros(1, dtype=np.int64)
+    found = np.zeros(1, dtype=np.int64)
+    info = solver(*_dsyevr_args(
+        n, m, np.zeros((n, n), order="F"), np.empty(n), np.empty((n, m), order="F"),
+        found, np.empty(2 * m, dtype=np.int64), work, -1, iwork, -1,
+    ))
+    if info != 0:
+        raise np.linalg.LinAlgError(f"dsyevr failed: info={info} in its workspace query")
+    return int(work[0]), int(iwork[0])
+
+
+class _TopPairs:
+    """The top m eigenpairs of the symmetric n x n matrix written into `a`,
+    in ascending order, solved into arrays allocated once.
+
+    A call solves with the binding bound at call time: LAPACKE_dsyevr_work,
+    which overwrites `a`, or np.linalg.eigh where that binding is missing.
+    The pairs it returns are views that the next call overwrites.
+    """
+
+    def __init__(self, n: int, m: int):
+        self.n, self.m = n, m
+        self.a = np.empty((n, n), order="F")
+        self._w = np.empty(n)
+        self._z = np.empty((n, m), order="F")
+        self._found = np.zeros(1, dtype=np.int64)
+        self._isuppz = np.empty(2 * m, dtype=np.int64)
+        # sized for the binding bound now; LAPACK checks lwork and liwork
+        # against its minimum, so a binding bound later fails, not overruns
+        lwork, liwork = (0, 0) if _DSYEVR is None else _workspace_sizes(_DSYEVR, n, m)
+        self._work = np.empty(lwork)
+        self._iwork = np.empty(liwork, dtype=np.int64)
+        self._args = _dsyevr_args(
+            n, m, self.a, self._w, self._z, self._found, self._isuppz,
+            self._work, lwork, self._iwork, liwork,
         )
-    return evals[m - 1 :: -1].copy(), np.ascontiguousarray(evecs[:, ::-1])
+
+    def __call__(self) -> tuple[np.ndarray, np.ndarray]:
+        n, m = self.n, self.m
+        solver = _DSYEVR
+        if solver is None:
+            evals, evecs = np.linalg.eigh(self.a)
+            return evals[n - m :], evecs[:, n - m :]
+        info = solver(*self._args)
+        found = int(self._found[0])
+        if info != 0 or found != m:
+            raise np.linalg.LinAlgError(
+                f"dsyevr failed: info={info}, found {found} of {m} eigenpairs"
+            )
+        return self._w[:m], self._z
 
 
 def _fix_signs(vectors: np.ndarray) -> None:
@@ -201,3 +265,41 @@ def estimate_subspace(buffer: WindowBuffer, m: int) -> SpectralEstimate:
 def projector(est: SpectralEstimate) -> np.ndarray:
     """Rank-m projector onto the estimated subspace (idempotent, trace m)."""
     return est.eigenvectors @ est.eigenvectors.T
+
+
+class WindowProjector:
+    """The detector's windowed kernel: the rank-m projector onto the top-m
+    eigenspace of a full window's mean, for n-node snapshots, computed in
+    arrays held from one call to the next.
+
+    It gives the bits of projector(estimate_subspace(buffer, m)) with less
+    work. The window is summed left to right into a kept buffer, as in
+    sliding_mean. The mean (acc + acc^T) / (2w) is bit-symmetric by
+    construction, so only its finiteness is checked. The solve is
+    top_m_eigs' binding and fallback, into kept arrays, and no sign is
+    fixed: negating a column is exact, so V V^T does not change.
+    """
+
+    def __init__(self, n: int, m: int):
+        if not 1 <= m <= n:
+            raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+        self._acc = np.empty((n, n))
+        self._top = np.empty((n, m))
+        self._solve = _TopPairs(n, m)
+
+    def __call__(self, buffer: WindowBuffer) -> np.ndarray:
+        """Projector for a full buffer of n-node snapshots; a non-finite
+        mean raises NumericalError, a failed solve np.linalg.LinAlgError."""
+        acc, mean = self._acc, self._solve.a
+        snaps = buffer.snapshots
+        np.copyto(acc, snaps[0].weights)
+        for snap in snaps[1:]:
+            acc += snap.weights
+        np.add(acc, acc.T, out=mean)
+        mean /= 2.0 * buffer.capacity
+        if not np.isfinite(mean).all():
+            raise NumericalError(_NON_FINITE)
+        _, vecs = self._solve()
+        top = self._top
+        np.copyto(top, vecs[:, ::-1])
+        return top @ top.T

@@ -220,15 +220,24 @@ class TestDetect:
             (2, '{"t":1,"n":2,"full":[[1,2],[3,4],[5,6],[7,8]]}', '"full" must be a flat list'),
             (2, '{"t":1,"n":2,"tri":[[1],[2],[3]]}', '"tri" must be a flat list'),
             (1, '{"t":1,"t":2,"n":1,"tri":[1.0]}', "duplicate key 't'"),
+            (1, '{"t":1,"n":1,"tri":[true]}', '"tri" must hold JSON numbers only'),
+            (1, '{"t":1,"n":1,"tri":["1.5"]}', '"tri" must hold JSON numbers only'),
+            (2, '{"t":1,"n":2,"full":[0,false,0,1.5]}', '"full" must hold JSON numbers only'),
+            (2, '{"t":1,"n":2,"full":[0,"0",0,1e0]}', '"full" must hold JSON numbers only'),
+            (2, '{"tri":[0.5,-1,null],"n":2,"t":1}', '"tri" must hold JSON numbers only'),
         ],
-        ids=["nested-tri", "nested-full", "column-tri", "duplicate-key"],
+        ids=[
+            "nested-tri", "nested-full", "column-tri", "duplicate-key",
+            "true-tri", "string-tri", "false-full", "string-full", "null-tri-keys-last",
+        ],
     )
     def test_malformed_weight_lines_are_format_errors_with_their_line(
         self, tmp_path, capsys, n, bad, message
     ):
         """A nested list used to be accepted or to exit 2 with numpy's bare
-        reshape or broadcast message, and a repeated key silently kept its
-        last value."""
+        reshape or broadcast message, a repeated key silently kept its last
+        value, and np.array(..., dtype=float) read true as 1.0, "1.5" as 1.5
+        and null as NaN."""
         stream = tmp_path / "bad.ndjson"
         good = json.dumps({"t": 0, "n": n, "tri": [0.0] * (n * (n + 1) // 2)})
         stream.write_text(good + "\n" + bad + "\n")

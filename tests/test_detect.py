@@ -1,5 +1,6 @@
 """Tests for increment definitions, the CUSUM recursion, and detector runs."""
 
+import itertools
 import math
 from collections import deque
 
@@ -317,7 +318,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
 
     @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
     @pytest.mark.parametrize("method", [SPECTRAL, TOP1, EXACT])
-    def test_generator_yields_the_longhand_increments(self, method, convention):
+    def test_generator_yields_the_longhand_increments(self, method, convention, solver):
         """At b = +inf the generator's (t, statistic) pairs are run_detector's
         whole trajectory, and its increments are the longhand loop's."""
         sc = self.scenario(convention)
@@ -329,6 +330,25 @@ class TestRunDetectorMatchesTheLonghandLoop:
         assert [(t, s) for t, _, s in got] == want_traj == run_detector(snaps, cfg).trajectory
         assert [inc for _, inc, _ in got] == want_incs
         assert len(got) == len(snaps) - cfg.lag
+
+    @pytest.mark.parametrize("n2", [8, 13], ids=["same-n", "other-n"])
+    def test_interleaved_generators_reproduce_their_separate_runs(self, n2, solver):
+        """Each generator holds its own window kernel and solver arrays, so
+        pulling two in turn changes neither one's yields."""
+        cfg = self.config(SPECTRAL, math.inf)
+        one = make_stream(self.scenario(SYMMETRIC))
+        other = StreamScenario(
+            assignment=assignment_from_sizes((4, 2), n=n2),
+            sigma=0.9, tau=10, horizon=50, seed=14, convention=IID_FULL,
+        )
+        two = make_stream(other)
+        want = [list(iter_statistic(one, cfg)), list(iter_statistic(two, cfg))]
+        got = [[], []]
+        for pair in itertools.zip_longest(iter_statistic(one, cfg), iter_statistic(two, cfg)):
+            for out, item in zip(got, pair):
+                if item is not None:
+                    out.append(item)
+        assert got == want
 
     @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
     def test_top1_increment_is_the_leading_quadratic_form(self, convention, solver):
@@ -407,10 +427,13 @@ class TestRunDetectorMatchesTheLonghandLoop:
     def test_eigensolver_failure_is_a_numerical_error(self, monkeypatch):
         import spectral_cusum.detect as detect
 
-        def failing(buffer, m):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        def failing(n, m):
+            def project(buffer):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        monkeypatch.setattr(detect, "estimate_subspace", failing)
+            return project
+
+        monkeypatch.setattr(detect, "WindowProjector", failing)
         snaps = make_stream(self.scenario(SYMMETRIC))
         with pytest.raises(NumericalError, match="did not converge") as info:
             run_detector(snaps, self.config(SPECTRAL, math.inf))

@@ -19,6 +19,7 @@ from spectral_cusum import (
     make_stream,
     mean_matrix,
     rng_from_key,
+    graph_model,
     sample_snapshot,
     top_m_eigs,
 )
@@ -252,3 +253,69 @@ class TestStream:
             self.scenario(tau=-1)
         with pytest.raises(ValueError):
             self.scenario(convention="lower")
+
+
+def one_draw_per_snapshot(scenario, rng, horizon):
+    """iter_stream's slow twin: the per-snapshot draw the block drawer
+    replaced. Each step draws its own standard_normal(d) (the (n, n) array
+    under iid-full) and scatters it into an array of its own."""
+    post = mean_matrix(build_indicator(scenario.assignment))
+    n = post.shape[0]
+    iu = np.triu_indices(n)
+    out = []
+    for t in range(1, horizon + 1):
+        mean = post if scenario.tau is not None and t > scenario.tau else np.zeros((n, n))
+        if scenario.sigma == 0:
+            w = mean.copy()
+        elif scenario.convention == SYMMETRIC:
+            vals = mean[iu] + scenario.sigma * rng.standard_normal(iu[0].size)
+            w = np.empty((n, n))
+            w[iu] = vals
+            w.T[iu] = vals
+        else:
+            w = mean + scenario.sigma * rng.standard_normal((n, n))
+        out.append((t, w))
+    return out
+
+
+def test_blocks_hold_sixteen_snapshots_at_n20_and_one_at_n100():
+    """The sizes the twin test below relies on: at most 16 rows and 64 KB."""
+    assert graph_model._block_rows(20) == 16
+    assert graph_model._block_rows(100) == 1
+    assert graph_model._block_rows(1) == 16
+
+
+@pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+@pytest.mark.parametrize("n", [20, 100])
+@pytest.mark.parametrize("tau", [None, 0, 7, 16], ids=["never", "0", "in-block", "boundary"])
+@pytest.mark.parametrize("horizon", [1, 15, 16, 17, 40])
+def test_block_draws_match_one_draw_per_snapshot(convention, sigma, n, tau, horizon):
+    """Bit for bit, with the generator left where the twin leaves it: a
+    block never draws past the horizon."""
+    sc = StreamScenario(
+        assignment=assignment_from_sizes((n // 2, 3), n=n),
+        sigma=sigma, tau=tau, horizon=horizon, seed=17, convention=convention,
+    )
+    rng, twin_rng = rng_from_key(17, n), rng_from_key(17, n)
+    got = list(iter_stream(sc, rng=rng))
+    want = one_draw_per_snapshot(sc, twin_rng, horizon)
+    assert [s.t for s in got] == [t for t, _ in want]
+    for snap, (_, w) in zip(got, want):
+        assert np.array_equal(snap.weights, w)
+    assert rng.standard_normal() == twin_rng.standard_normal()
+
+
+@pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+@pytest.mark.parametrize("sigma", [0.0, 0.8])
+def test_sample_snapshot_is_the_one_row_draw(convention, sigma):
+    sc = StreamScenario(
+        assignment=assignment_from_sizes((3, 2), n=7),
+        sigma=sigma, tau=4, horizon=9, seed=0, convention=convention,
+    )
+    post = mean_matrix(build_indicator(sc.assignment))
+    rng = rng_from_key(18)
+    for t, w in one_draw_per_snapshot(sc, rng_from_key(18), sc.horizon):
+        mean = post if t > sc.tau else np.zeros_like(post)
+        snap = sample_snapshot(mean, sigma, convention, rng, t=t)
+        assert snap.t == t and np.array_equal(snap.weights, w)

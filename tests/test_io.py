@@ -191,6 +191,30 @@ class TestStreamErrors:
         with pytest.raises(StreamFormatError, match='line 2: "t" must increase'):
             read_stream(path)
 
+    @pytest.mark.parametrize(
+        "weights",
+        ["[true, 0, 0]", '["1.5", 0, 0]', "[0, false, 0]", "[0, 0, null]", '[0, 1, "a"]'],
+        ids=["true", "numeric-string", "false", "null", "string"],
+    )
+    def test_weights_must_be_json_numbers(self, weights):
+        text = '{"t": 1, "n": 2, "tri": [0, 0, 0]}\n' f'{{"n": 2, "tri": {weights}, "t": 2}}\n'
+        with pytest.raises(StreamFormatError, match='line 2: "tri" must hold JSON numbers only'):
+            read_stream(io.StringIO(text))
+
+    def test_every_json_number_spelling_is_a_weight(self):
+        """The cheap screen in front of the type check passes numbers in
+        every JSON spelling, with the keys in any order, and a NaN still
+        fails as non-finite rather than as a non-number."""
+        text = (
+            '{"n": 2, "full": [-0, 1E+2, 2.5e-3, -7], "t": 1}\n'
+            '{"tri" : [ 1 , -2.50 , 3e0 ] , "t" : 2 , "n" : 2}\n'
+        )
+        one, two = read_stream(io.StringIO(text))
+        assert one.weights.tolist() == [[0.0, 100.0], [0.0025, -7.0]]
+        assert two.weights.tolist() == [[1.0, -2.5], [-2.5, 3.0]]
+        with pytest.raises(StreamFormatError, match="line 1: .*non-finite"):
+            read_stream(io.StringIO('{"t": 1, "n": 1, "full": [NaN]}\n'))
+
 
 class TestTraceAndReports:
     def run_exact(self):

@@ -1,5 +1,7 @@
 """Tests for window buffering, sliding means, and subspace estimation."""
 
+import ctypes
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,7 @@ from spectral_cusum import (
     NumericalError,
     StreamScenario,
     WindowBuffer,
+    WindowProjector,
     assignment_from_sizes,
     build_indicator,
     estimate_subspace,
@@ -198,7 +201,14 @@ class TestSolverBinding:
         a nonzero info is a failed eigensolve, even with every pair found."""
 
         def failing(*args):
-            args[12]._obj.value = args[10] - args[9] + 1  # found = iu - il + 1
+            # LAPACKE_dsyevr_work's layout: n at 4, il and iu at 9 and 10, the
+            # m-found pointer at 12, work, lwork, iwork at 17 to 19
+            n = args[4]
+            if args[18] == -1:  # the workspace query: LAPACK's minimum sizes
+                ctypes.c_double.from_address(args[17]).value = 26 * n
+                ctypes.c_int64.from_address(args[19]).value = 10 * n
+                return 0
+            ctypes.c_int64.from_address(args[12]).value = args[10] - args[9] + 1
             return info
 
         monkeypatch.setattr(spectral, "_DSYEVR", failing)
@@ -347,3 +357,34 @@ class TestSubspace:
             if float(np.linalg.norm(p - truth)) <= 0.1:
                 hits += 1
         assert hits >= 190
+
+
+@pytest.mark.usefixtures("solver")
+class TestWindowProjector:
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    @pytest.mark.parametrize("m", [1, 2, 8, 12])
+    def test_matches_the_slow_twin_bit_for_bit(self, convention, m):
+        """projector(estimate_subspace(buf, m)) on every window of a rolling
+        buffer, at m = n = 12 and at m = 8, where numpy 2.4.6's column-view
+        negation broke the sign fix the kernel no longer makes."""
+        n, w = 12, 4
+        mean = 2.0 * mean_matrix(build_indicator(assignment_from_sizes((4, 3, 2), n=n)))
+        rng = rng_from_key(60, m)
+        project = WindowProjector(n, m)
+        buf = WindowBuffer(w)
+        for t in range(1, 21):
+            buf.push(sample_snapshot(mean, 0.8, convention, rng, t=t))
+            if buf.full:
+                assert np.array_equal(project(buf), projector(estimate_subspace(buf, m)))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_window_is_a_numerical_error(self, bad):
+        weights = np.zeros((3, 3))
+        weights[0, 2] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            WindowProjector(3, 1)(filled_buffer([np.eye(3), weights]))
+
+    def test_rejects_bad_m(self):
+        for m in (0, 4):
+            with pytest.raises(ValueError, match="need 1 <= m <= n"):
+                WindowProjector(3, m)
