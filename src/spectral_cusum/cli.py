@@ -16,7 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .detect import EXACT, METHODS, DetectorConfig, run_detector
+from .detect import EXACT, METHODS, TOP1, DetectorConfig, run_detector
 from .graph_model import (
     CONVENTIONS,
     SYMMETRIC,
@@ -109,16 +109,16 @@ _SCENARIO_OPTS = (
 
 _DETECTOR_OPTS = (
     _Opt("method", _method, required=True, help="exact, spectral, or top1"),
-    _Opt("m", int, help="subspace dimension (spectral method)"),
+    _Opt("m", int, help="subspace dimension (spectral method; top1 is m = 1)"),
     _Opt("window", int, help="window length w (spectral and top1 methods)"),
-    _Opt("d", float, help="drift constant (default m/2)"),
+    _Opt("d", float, help="drift constant (spectral and top1; default m/2)"),
 )
 
 _MC_OPTS = (
     _Opt("reps", int, default=500, help="Monte Carlo replications (default 500)"),
     _Opt("cap", int, help="max steps per replication (default 20x the target)"),
     _Opt("rel-tol", float, default=0.1, help="calibration tolerance (default 0.1)"),
-    _Opt("workers", int, default=1, help="worker processes (default 1)"),
+    _Opt("workers", int, default=1, help="worker processes, at least 1 (default 1)"),
 )
 
 _SIMULATE_OPTS = _SCENARIO_OPTS + (
@@ -238,9 +238,19 @@ def _build_scenario(values: dict, tau, horizon: int) -> StreamScenario:
     )
 
 
+def _reject_unread(values: dict, *names: str) -> None:
+    """Refuse the flags among names that were given: the method never reads them."""
+    given = [f"--{name}" for name in names if values[name] is not None]
+    if given:
+        raise UsageError(f"the {values['method']} method does not read {', '.join(given)}")
+
+
 def _build_detector(values: dict, b: float) -> DetectorConfig:
     a = None
+    if values["method"] == TOP1 and values["m"] not in (None, 1):
+        raise UsageError(f"the top1 method is spectral at m = 1, not --m {values['m']}")
     if values["method"] == EXACT:
+        _reject_unread(values, "m", "window", "d")
         if values["sizes"] is None:
             raise UsageError(
                 "the exact method needs --sizes (and optionally --nodes) "
@@ -286,6 +296,8 @@ def _cmd_simulate(ns: argparse.Namespace) -> int:
 
 def _cmd_detect(ns: argparse.Namespace) -> int:
     v = _resolve(ns, _DETECT_OPTS)
+    if v["method"] != EXACT:
+        _reject_unread(v, "sizes", "nodes")
     if not math.isfinite(v["b"]):
         raise UsageError(f"--b must be finite, got {v['b']}")
     detector = _build_detector(v, b=v["b"])

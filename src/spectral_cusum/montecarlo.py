@@ -118,57 +118,37 @@ def _rep_path(plan: McPlan, rep: int) -> np.ndarray:
     snapshot-by-snapshot detector. Entry i is the statistic of scored index
     i + 1, so an alarm on the last entry falls at the path's length plus lag.
 
-    The exact engine scores blocks of _CHUNK steps with the clamped
-    recursion in closed form, S_t = C_t + max(s0, -min_{j<t} C_j), where C
-    is the running increment sum since the block began and s0 the statistic
-    that ended the previous block. It draws each block in growing pieces:
-    _FIRST_PIECE rows, then as many rows again as it has drawn so far, up to
-    _CHUNK rows a piece, and it stops at the piece that holds the first
-    crossing of b. So a path that stops at entry k draws at most
-    max(_FIRST_PIECE, 2(k + 1)) rows. Within a block the pieces carry C and
-    its running minimum, so each entry is summed in the order the whole
-    block would sum it; s0 resets only every _CHUNK steps, as in the
-    block-at-a-time engine, and the path is bit-identical to it.
+    The exact engine draws its increments in growing pieces: _FIRST_PIECE
+    rows, then as many rows again as it has drawn so far, up to _CHUNK rows
+    a piece. It steps the detector's clamped recursion max(S, 0) + z over
+    each piece and stops at the first crossing of b, so a path that stops
+    at entry k draws at most max(_FIRST_PIECE, 2(k + 1)) rows.
     """
     rng = rng_from_key(plan.master_seed, rep)
     if plan.detector.method != EXACT:
         stream = iter_stream(plan.scenario, rng=rng, horizon=plan.cap)
         result = run_detector(stream, plan.detector)
         return np.array([s for _, s in result.trajectory])
-    coef, offset = _exact_coefficients(plan.scenario.assignment, plan.scenario.convention)
-    sigma = plan.scenario.sigma
-    tau = plan.scenario.tau
+    sc = plan.scenario
+    coef, offset = _exact_coefficients(sc.assignment, sc.convention)
     b = plan.detector.b
-    cap = plan.cap
-    kept: list[np.ndarray] = []
-    carry = run = 0.0
-    low = math.inf
+    path: list[float] = []
+    statistic = 0.0
     pos = 0
-    while pos < cap:
-        into = pos % _CHUNK
-        if into == 0:
-            # a new block: the statistic carries over, the sums restart
-            carry = float(kept[-1][-1]) if kept else 0.0
-            run, low = 0.0, math.inf
-        k = min(max(pos, _FIRST_PIECE), _CHUNK - into, cap - pos)
+    while pos < plan.cap:
+        k = min(max(pos, _FIRST_PIECE), _CHUNK, plan.cap - pos)
         draws = rng.standard_normal((k, coef.size))
-        if tau is None:
-            base = 0.0
-        else:
-            t_idx = np.arange(pos + 1, pos + k + 1)
-            base = np.where(t_idx > tau, offset, 0.0)
-        incs = 2.0 * (base + sigma * (draws @ coef)) - offset
-        sums = np.add.accumulate(np.concatenate(([run], incs)))
-        lows = np.minimum.accumulate(np.concatenate(([low], sums[:-1])))
-        stats = sums[1:] + np.maximum(-lows[1:], carry)
-        hit = np.nonzero(stats >= b)[0]
-        if hit.size:
-            kept.append(stats[: hit[0] + 1])
-            break
-        kept.append(stats)
-        run, low = sums[-1], lows[-1]
+        t = np.arange(pos + 1, pos + k + 1)
+        base = 0.0 if sc.tau is None else np.where(t > sc.tau, offset, 0.0)
+        incs = 2.0 * (base + sc.sigma * (draws @ coef)) - offset
+        for inc in incs.tolist():
+            # detect.cusum_update, inlined: this loop is the engine's hot path
+            statistic = (statistic if statistic > 0.0 else 0.0) + inc
+            path.append(statistic)
+            if statistic >= b:
+                return np.array(path)
         pos += k
-    return np.concatenate(kept)
+    return np.array(path)
 
 
 def _rep_alarm(plan: McPlan, rep: int) -> int | None:
@@ -180,7 +160,9 @@ def _rep_alarm(plan: McPlan, rep: int) -> int | None:
 
 
 def _map_reps(fn, plan: McPlan, reps: range, workers: int) -> list:
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
         return [fn(plan, i) for i in reps]
     chunksize = max(1, len(reps) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -20,6 +20,7 @@ from spectral_cusum import (
     CONVENTIONS,
     EXACT,
     METHODS,
+    TOP1,
     DetectorConfig,
     StreamScenario,
     assignment_from_sizes,
@@ -311,6 +312,72 @@ class TestDetect:
         assert "sizes" in capsys.readouterr().err
 
 
+class TestUnreadDetectorFlags:
+    """A flag the chosen method never reads exits 2 and is named, instead of
+    a run of some other detector than the one asked for."""
+
+    @staticmethod
+    def simulate_planted(tmp_path):
+        stream = tmp_path / "planted.ndjson"
+        args = ["simulate", "--sizes", "4,2", "--nodes", "8", "--tau", "3", "--horizon", "12"]
+        assert main(args + ["--out", str(stream)]) == 0
+        return stream
+
+    @pytest.mark.parametrize(
+        "flags,named",
+        [
+            (["--method", "top1", "--window", "2", "--m", "3"], "--m 3"),
+            (["--method", "exact", "--sizes", "4,2", "--nodes", "8", "--m", "2"], "--m"),
+            (["--method", "exact", "--sizes", "4,2", "--nodes", "8", "--window", "3"], "--window"),
+            (["--method", "exact", "--sizes", "4,2", "--nodes", "8", "--d", "1"], "--d"),
+            (["--method", "spectral", "--m", "2", "--window", "2", "--sizes", "9,9"], "--sizes"),
+            (["--method", "spectral", "--m", "2", "--window", "2", "--nodes", "8"], "--nodes"),
+            (["--method", "top1", "--window", "2", "--sizes", "4,2"], "--sizes"),
+        ],
+        ids=["top1-m", "exact-m", "exact-window", "exact-d", "spectral-sizes", "spectral-nodes", "top1-sizes"],
+    )
+    def test_detect_names_the_flag_and_exits_two(self, tmp_path, capsys, flags, named):
+        stream = self.simulate_planted(tmp_path)
+        trace = tmp_path / "t.csv"
+        assert main(["detect", str(stream), *flags, "--out", str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+        assert not trace.exists()
+
+    def test_a_config_file_flag_is_refused_too(self, tmp_path, capsys):
+        stream = self.simulate_planted(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = exact\nsizes = 4,2\nnodes = 8\nwindow = 3\n")
+        assert main(["detect", str(stream), "--config", str(cfg), "--out", str(tmp_path / "t.csv")]) == 2
+        assert "--window" in capsys.readouterr().err
+
+    def test_top1_at_m_one_is_top1_without_m(self, tmp_path):
+        stream = self.simulate_planted(tmp_path)
+        traces = []
+        for extra in ([], ["--m", "1"]):
+            trace = tmp_path / f"t{len(extra)}.csv"
+            argv = ["detect", str(stream), "--method", "top1", "--window", "2", "--b", "2"]
+            with contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv + extra + ["--out", str(trace)]) == 0
+            traces.append(trace.read_text())
+        assert traces[0] == traces[1]
+
+    @pytest.mark.parametrize("flag,value", [("--m", "2"), ("--window", "3"), ("--d", "1")])
+    def test_calibrate_refuses_windowed_flags_for_the_exact_method(self, tmp_path, capsys, flag, value):
+        args = ["calibrate", "--target", "10", "--sizes", "2,1", "--method", "exact", "--reps", "20"]
+        assert main(args + [flag, value, "--out", str(tmp_path / "cal.json")]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "cal.json").exists()
+
+    def test_calibrate_reads_sizes_and_nodes_for_every_method(self, tmp_path):
+        """There they describe the simulated scenario, not the detector."""
+        out = tmp_path / "cal.json"
+        args = ["calibrate", "--target", "10", "--sizes", "2,1", "--nodes", "4", "--method", "top1"]
+        args += ["--window", "2", "--reps", "40", "--rel-tol", "0.4", "--out", str(out)]
+        assert main(args) == 0
+        assert json.loads(out.read_text())["method"] == "top1"
+
+
 class TestStreamingDetect:
     """detect reads its stream lazily: the same trace as a run over the
     whole file read into a list, in memory that does not grow with the file."""
@@ -347,7 +414,8 @@ class TestStreamingDetect:
                 method=EXACT, b=b, A=build_indicator(assignment_from_sizes(sizes, n=n))
             )
         else:
-            flags = ["--m", "2", "--window", str(w)]
+            # top1 is spectral at m = 1 and refuses any other --m
+            flags = ["--window", str(w)] if method == TOP1 else ["--m", "2", "--window", str(w)]
             config = DetectorConfig(method=method, b=b, m=2, w=w)
         trace = path.with_suffix(".csv")
         err = io.StringIO()
@@ -588,6 +656,19 @@ class TestCalibrateAndBench:
         )
         assert code == 2
         assert "invalid int value: 'x'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "args",
+        [["calibrate", "--target", "10"], ["bench", "--gammas", "10,20"]],
+        ids=["calibrate", "bench"],
+    )
+    def test_fewer_than_one_worker_is_a_usage_error(self, tmp_path, capsys, args, workers):
+        out = tmp_path / "out"
+        args = args + ["--sizes", "2,1", "--method", "exact", "--reps", "20"]
+        assert main(args + ["--workers", workers, "--out", str(out)]) == 2
+        assert f"error: workers must be at least 1, got {workers}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bench_rejects_unsorted_gammas(self, tmp_path):
         code = main(

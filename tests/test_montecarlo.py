@@ -1,11 +1,13 @@
 """Tests for the Monte Carlo harness: run-length estimation, calibration,
 drift measurement, and the tilted-moment check.
 
-The exact-method replication engine has a vectorized fast path; the parity
-tests here pin it bit-for-bit to the generic detector loop on shared seeds,
-which is what makes the remaining statistical tests meaningful. The fast
-path draws in growing pieces; its slow twin here draws whole blocks, and the
-two must give the same bits.
+The exact-method replication engine draws its increments in vectorized,
+growing pieces and steps the detector's clamped recursion over them. Its
+slow twin here draws whole _CHUNK-row blocks and scores each step with
+cusum_update, and the two must give the same bits. The parity tests pin the
+engine to the generic detector loop on shared seeds: the same alarm times,
+and uncapped paths that differ only by the rounding of their increments.
+That is what makes the remaining statistical tests meaningful.
 """
 
 import math
@@ -76,19 +78,11 @@ class TestPlanValidation:
             McPlan(h0_scenario(), det, replications=10, cap=10)
 
 
-def lindley_block(increments, s0):
-    """Clamped-recursion statistics for a block of increments, starting at s0:
-    S_t = C_t + max(s0, -min_{j<t} C_j) with C the running increment sum,
-    which equals the per-step recursion max(S_{t-1}, 0) + z_t."""
-    c = np.cumsum(increments)
-    prefix = np.concatenate(([0.0], c[:-1]))
-    return c + np.maximum(-np.minimum.accumulate(prefix), s0)
-
-
 def block_at_a_time_path(plan, rep):
     """Slow twin of the exact engine: draw whole _CHUNK-step blocks, score
-    each with lindley_block carrying the statistic over, and cut the path
-    after its first crossing of b."""
+    each step with cusum_update, and cut the path after its first crossing
+    of b. The blocks are the engine's pieces from entry 512 on; before that
+    the engine draws smaller pieces of the same rows."""
     sc = plan.scenario
     mm = mean_matrix(build_indicator(sc.assignment))
     offset = float(np.dot(mm.ravel(), mm.ravel()))
@@ -98,60 +92,22 @@ def block_at_a_time_path(plan, rep):
     else:
         coef = mm.ravel()
     rng = rng_from_key(plan.master_seed, rep)
-    kept, carry = [], 0.0
+    path, statistic = [], 0.0
     for pos in range(0, plan.cap, _CHUNK):
         k = min(_CHUNK, plan.cap - pos)
         draws = rng.standard_normal((k, coef.size))
         t = np.arange(pos + 1, pos + k + 1)
         base = 0.0 if sc.tau is None else np.where(t > sc.tau, offset, 0.0)
-        stats = lindley_block(2.0 * (base + sc.sigma * (draws @ coef)) - offset, carry)
-        hit = np.nonzero(stats >= plan.detector.b)[0]
-        if hit.size:
-            kept.append(stats[: hit[0] + 1])
-            break
-        kept.append(stats)
-        carry = float(stats[-1])
-    return np.concatenate(kept)
+        for inc in 2.0 * (base + sc.sigma * (draws @ coef)) - offset:
+            statistic = cusum_update(statistic, float(inc))
+            path.append(statistic)
+            if statistic >= plan.detector.b:
+                return np.array(path)
+    return np.array(path)
 
 
 def assert_matches_the_twin(plan, rep):
     assert np.array_equal(_rep_path(plan, rep), block_at_a_time_path(plan, rep))
-
-
-class TestLindleyBlocks:
-    def test_matches_the_stepwise_recursion(self):
-        rng = np.random.default_rng(5)
-        for s0 in (-2.0, 0.0, 3.0):
-            incs = rng.uniform(-2, 2, size=37)
-            got = lindley_block(incs, s0)
-            s, want = s0, []
-            for z in incs:
-                s = max(s, 0.0) + z
-                want.append(s)
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
-
-    @given(
-        incs=st.lists(
-            st.floats(min_value=-3, max_value=3, allow_nan=False), min_size=1, max_size=60
-        ),
-        cuts=st.lists(st.integers(min_value=1, max_value=59), max_size=6),
-        s0=st.floats(min_value=-3, max_value=3, allow_nan=False),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_chunks_carrying_the_statistic_match_the_stepwise_loop(self, incs, cuts, s0):
-        bounds = [0, *sorted({c for c in cuts if c < len(incs)}), len(incs)]
-        got, carry = [], s0
-        for lo, hi in zip(bounds, bounds[1:]):
-            block = lindley_block(np.array(incs[lo:hi]), carry)
-            got.extend(block)
-            carry = float(block[-1])
-        want, s = [], s0
-        for z in incs:
-            s = cusum_update(s, z)
-            want.append(s)
-        # the block form sums the increments in a different order
-        tol = 4 * len(incs) * np.finfo(float).eps * (abs(s0) + float(np.abs(incs).sum()))
-        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
 
 def with_b(plan, b):
@@ -180,7 +136,7 @@ def assert_stopped_path_is_a_prefix(plan, rep, k, exact=False):
 
 # entries 15/16, 31/32, ... end and start the engine's growing pieces, 47/48,
 # 111/112, ... would for pieces of 16, 32, 64, ...; 511/512 and 1023/1024
-# end and start its blocks
+# end and start its largest, _CHUNK-row pieces and the twin's blocks
 PIECE_EDGES = [15, 16, 31, 32, 47, 48, 63, 64, 111, 112, 127, 128, 239, 240, 255, 256, 495, 496]
 BLOCK_EDGES = [510, 511, 512, 513, 1023, 1024]
 
@@ -287,6 +243,32 @@ class TestExactFastPathParity:
             stream = iter_stream(sc, rng=rng_from_key(plan.master_seed, rep), horizon=plan.cap)
             slow = run_detector(stream, plan.detector).stop_time
             assert fast == slow
+
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    @pytest.mark.parametrize("tau", [None, 0, 37])
+    @pytest.mark.parametrize("sizes,n", [((2, 1), None), ((4, 2), None), ((2, 1), 20)])
+    def test_uncapped_paths_match_the_generic_loop_entry_by_entry(self, convention, tau, sizes, n):
+        """Both step the same recursion on the same draws; only the
+        increments' arithmetic differs, the engine's coefficient dot product
+        against the detector's trace over all n^2 entries. Each increment
+        is 2x - offset with |2x| <= |z| + offset, so a few roundings a step
+        of |z_j| + offset bound the drift: 8 eps, fixed from float64, not
+        fitted to these paths. Scaling by |z_j| alone would not do: a first
+        increment of -0.04 against an offset of 5 cancels 7 bits."""
+        a = assignment_from_sizes(sizes, n=n)
+        sc = StreamScenario(assignment=a, sigma=1.0, tau=tau, horizon=1, convention=convention)
+        det = DetectorConfig(method=EXACT, b=math.inf, A=build_indicator(a))
+        plan = McPlan(sc, det, replications=1, cap=600, master_seed=42)
+        mm = mean_matrix(build_indicator(a))
+        offset = float(np.dot(mm.ravel(), mm.ravel()))
+        for rep in range(6):
+            fast = _rep_path(plan, rep)
+            stream = iter_stream(sc, rng=rng_from_key(plan.master_seed, rep), horizon=plan.cap)
+            slow = np.array([s for _, s in run_detector(stream, plan.detector).trajectory])
+            assert fast.size == slow.size == plan.cap
+            z = slow - np.maximum(np.concatenate(([0.0], slow[:-1])), 0.0)
+            tol = 8 * np.finfo(float).eps * np.cumsum(np.abs(z) + offset)
+            assert np.all(np.abs(fast - slow) <= tol)
 
 
 class TestArl:
@@ -718,6 +700,22 @@ class TestEqualizerMc:
             verify_equalizer_mc(10, 2, 30, 0.0, math.inf, replications=10)
         with pytest.raises(ValueError):
             verify_equalizer_mc(10, 2, 30, 0.5, 0.5, replications=0)
+
+
+class TestWorkerCount:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_refused_before_any_replication(self, workers):
+        plan = McPlan(h0_scenario(), exact_detector(3.0), replications=4, cap=200)
+        post = replace(plan, scenario=h0_scenario(tau=0))
+        calls = [
+            lambda: estimate_arl(plan, workers=workers),
+            lambda: estimate_edd(post, workers=workers),
+            lambda: calibrate_threshold(plan, 10.0, workers=workers),
+            lambda: oc_curve(plan, [10.0], workers=workers),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+                call()
 
 
 class TestWorkerDeterminism:
