@@ -6,6 +6,18 @@ Stream files are NDJSON: one object per line with keys "t", "n", and either
 snapshots) or "full" (all n*n weights, row-major). Floats are written with
 their shortest round-trip representation, so read(write(s)) reproduces s
 bit-exactly for finite values.
+
+A line exactly in write_stream's layout is read without json's correctly
+rounded decimal-to-binary conversion, which is most of json's cost: a weight
+-?D.F is the integer DF, parsed by numpy as uint64, over 10**len(F), divided
+in x87 extended precision. Both operands are exact there (DF below 2**64,
+10**k up to k = 27), so the quotient is rounded once, and rounding it on to
+float64 gives float(token) unless it landed exactly on a float64 midpoint.
+Those weights, weights with more than 19 significant digits or 27 decimals,
+and exponent forms such as 1e-05 are converted by float(). Every other line
+(whitespace, another key order, integers, literals, strings, nested lists),
+and every line where long double is not x87 extended, goes through json,
+which also words every error; both readers give the same snapshots.
 """
 
 from __future__ import annotations
@@ -13,6 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -80,6 +93,19 @@ def _unique_keys(pairs):
 
 _DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
 
+# The canonical reader divides in x87 extended precision: a 64-bit
+# significand, stored little-endian in 16 bytes with the significand first.
+_EXTENDED = np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+_MAX_DECIMALS = 27  # 10**27 = 2**27 * 5**27 and 5**27 < 2**64: exact in extended
+_MAX_DIGITS = 19  # any 19-digit integer is below 2**64
+_POW10 = np.ones(_MAX_DECIMALS + 1, dtype=np.longdouble)
+for _k in range(1, _MAX_DECIMALS + 1):
+    _POW10[_k] = _POW10[_k - 1] * 10  # exact, so no rounding piles up
+_HEAD = re.compile(r'\{"t":(-?(?:0|[1-9][0-9]{0,17})),"n":([1-9][0-9]{0,5}),"(tri|full)":\[')
+_EXPONENT_TOKEN = re.compile(rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?[eE][-+]?[0-9]+")
+_MAX_EXPONENT_TOKENS = 64  # one float() each: at n = 100 json is faster past about 250
+_COMMA, _MINUS, _DOT, _ZERO, _NINE = b",-.09"
+
 
 def iter_stream_file(path_or_file) -> Iterator[GraphSnapshot]:
     """Yield the snapshots of an NDJSON stream one line at a time; an empty
@@ -100,15 +126,14 @@ def iter_stream_file(path_or_file) -> Iterator[GraphSnapshot]:
         for lineno, line in enumerate(fh, start=1):
             if not line or line.isspace():
                 continue
-            try:
-                obj = _DECODER.decode(line)
-            except json.JSONDecodeError as err:
-                raise StreamFormatError(
-                    f"{name}: line {lineno}: invalid JSON ({err.msg})"
-                ) from None
-            except StreamFormatError as err:
-                raise StreamFormatError(f"{name}: line {lineno}: {err}") from None
-            prev = _parse_snapshot(obj, line, name, lineno, prev)
+            where = f"{name}: line {lineno}"
+            canonical = _EXTENDED and _read_canonical(line)
+            if canonical:
+                t, n, key, arr = canonical
+                _check_order(t, n, prev, where)
+            else:
+                t, n, key, arr = _read_json(line, where, prev)
+            prev = _snapshot(t, n, key, arr, where)
             yield prev
 
 
@@ -118,37 +143,148 @@ def read_stream(path_or_file) -> list[GraphSnapshot]:
     return list(iter_stream_file(path_or_file))
 
 
-def _parse_snapshot(
-    obj, line: str, name: str, lineno: int, prev: GraphSnapshot | None
-) -> GraphSnapshot:
-    def fail(msg: str):
-        raise StreamFormatError(f"{name}: line {lineno}: {msg}")
+def _fail(where: str, msg: str):
+    raise StreamFormatError(f"{where}: {msg}")
 
+
+def _read_canonical(line: str):
+    """(t, n, key, weights) of a line in write_stream's exact layout,
+    {"t":T,"n":N,"tri"|"full":[...]} with whitespace only after it, read as
+    the module docstring says; None for any other line, which the json
+    reader then takes. Never raises."""
+    head = _HEAD.match(line)
+    stop = len(line.rstrip(" \t\n\r")) - 2
+    if head is None or not line.startswith("]}", stop) or not line.isascii():
+        return None
+    n = int(head[2])
+    key = head[3]
+    want = n * (n + 1) // 2 if key == "tri" else n * n
+    swapped = _swap_exponents(line[head.end() : stop].encode())
+    if swapped is None:
+        return None
+    weights = _plain_weights(*swapped, want)
+    if weights is None:
+        return None
+    return int(head[1]), n, key, weights
+
+
+def _swap_exponents(body: bytes):
+    """Put "0.0" in place of each token with an exponent; returns the new
+    body and {token offset in it: float(token)}, or None if such a token is
+    not a JSON number or there are too many to be worth a float() each."""
+    if b"e" not in body and b"E" not in body:
+        return body, {}
+    pieces, exact = [], {}
+    done = size = 0
+    while True:
+        hits = [i for i in (body.find(b"e", done), body.find(b"E", done)) if i >= 0]
+        if not hits:
+            break
+        if len(exact) == _MAX_EXPONENT_TOKENS:
+            return None
+        lo = body.rfind(b",", done, min(hits)) + 1 or done
+        hi = body.find(b",", min(hits))
+        hi = len(body) if hi < 0 else hi
+        if _EXPONENT_TOKEN.fullmatch(body, lo, hi) is None:
+            return None
+        size += lo - done
+        exact[size] = float(body[lo:hi])
+        size += 3
+        pieces += [body[done:lo], b"0.0"]
+        done = hi
+    pieces.append(body[done:])
+    return b"".join(pieces), exact
+
+
+def _plain_weights(body: bytes, exact: dict, want: int):
+    """The float64 values of want comma-separated tokens -?(0|[1-9][0-9]*).[0-9]+,
+    bit for bit those of float(), with exact's values at its token offsets;
+    None if body holds anything else."""
+    b = np.frombuffer(body, np.uint8)
+    size = b.size
+    marks = np.flatnonzero((b | 2) == _DOT)  # the dots and the commas: 46 | 2 == 44 | 2
+    dots, commas = marks[::2], marks[1::2]
+    # one dot in each token: dots and commas alternate, which also keeps
+    # every token start inside the body
+    if marks.size != 2 * want - 1 or (b[dots] != _DOT).any() or (b[commas] != _COMMA).any():
+        return None
+    starts = np.empty(want, np.intp)
+    starts[0] = 0
+    np.add(commas, 1, out=starts[1:])
+    neg = b[starts] == _MINUS
+    # besides the commas and dots, the only bytes below "0" are the minus
+    # signs that open tokens, and none is above "9"
+    if b.max() > _NINE or np.count_nonzero(b < _ZERO) != 2 * want - 1 + np.count_nonzero(neg):
+        return None
+    decimals = np.empty(want, np.intp)
+    decimals[:-1] = commas
+    decimals[-1] = size
+    decimals -= dots + 1
+    whole = dots - starts
+    whole -= neg
+    if not ((whole > 0).all() and (decimals > 0).all()):
+        return None  # no digit before or after a dot
+    if ((b[dots - whole] == _ZERO) & (whole > 1)).any():
+        return None  # a leading zero
+    slow = decimals > _MAX_DECIMALS
+    # a token can overflow uint64 only with more than 19 significant digits;
+    # zeros ahead of them, as in 0.000123, are cheap to count
+    long = np.flatnonzero(whole + decimals > _MAX_DIGITS)
+    if long.size:
+        after = np.minimum(dots[long, None] + 1 + np.arange(_MAX_DECIMALS + 1), size - 1)
+        nonzero = b[after] != _ZERO
+        zeros = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), _MAX_DECIMALS + 1)
+        lead = np.where(b[dots[long] - whole[long]] == _ZERO, 1 + zeros, 0)  # "0." and zeros
+        slow[long[whole[long] + decimals[long] - lead > _MAX_DIGITS]] = True
+    del marks, dots, commas, whole  # freed before the largest temporaries
+    digits = np.fromstring(body.translate(None, b".-"), dtype=np.uint64, sep=",")
+    quotient = digits.astype(np.longdouble)
+    del digits
+    np.minimum(decimals, _MAX_DECIMALS, out=decimals)
+    quotient /= _POW10[decimals]
+    # the low 11 of the 64 significand bits: 10000000000 is a float64 midpoint
+    slow |= (quotient.view(np.uint64)[::2] & 0x7FF) == 0x400
+    weights = quotient.astype(np.float64)
+    del quotient
+    weights = np.where(neg, -weights, weights)  # the sign last, so -0.0 stays negative
+    for k in np.flatnonzero(slow).tolist():
+        stop = starts[k + 1] - 1 if k + 1 < want else size
+        weights[k] = float(body[starts[k] : stop])
+    if exact:
+        weights[np.searchsorted(starts, list(exact))] = list(exact.values())
+    return weights
+
+
+def _read_json(line: str, where: str, prev: GraphSnapshot | None):
+    """(t, n, key, weights) of any JSON line, with every check on its form
+    and on its order after prev but finiteness."""
+    try:
+        obj = _DECODER.decode(line)
+    except json.JSONDecodeError as err:
+        raise StreamFormatError(f"{where}: invalid JSON ({err.msg})") from None
+    except StreamFormatError as err:
+        raise StreamFormatError(f"{where}: {err}") from None
     if not isinstance(obj, dict):
-        fail("expected a JSON object")
+        _fail(where, "expected a JSON object")
     unknown = set(obj) - _STREAM_KEYS
     if unknown:
-        fail(f"unknown key(s): {', '.join(sorted(unknown))}")
+        _fail(where, f"unknown key(s): {', '.join(sorted(unknown))}")
     t = obj.get("t")
     n = obj.get("n")
     if not isinstance(t, int) or isinstance(t, bool):
-        fail('"t" must be an integer')
+        _fail(where, '"t" must be an integer')
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        fail('"n" must be a positive integer')
-    if prev is not None:
-        if n != prev.n:
-            fail(f"node count changed from {prev.n} to {n}")
-        if t <= prev.t:
-            fail(f'"t" must increase: {t} follows {prev.t}')
+        _fail(where, '"n" must be a positive integer')
+    _check_order(t, n, prev, where)
     has_tri = "tri" in obj
     has_full = "full" in obj
     if has_tri == has_full:
-        fail('need exactly one of "tri" or "full"')
+        _fail(where, 'need exactly one of "tri" or "full"')
     key = "tri" if has_tri else "full"
     want = n * (n + 1) // 2 if has_tri else n * n
     vals = obj[key]
     if not isinstance(vals, list) or len(vals) != want:
-        fail(f'"{key}" must be a list of {want} numbers for n={n}')
+        _fail(where, f'"{key}" must be a list of {want} numbers for n={n}')
     # np.array(..., dtype=float) would take true as 1.0 and "1.5" as 1.5, so
     # only ints and floats pass. The keys are known and t and n are ints, so
     # the first "[" and the last "]" bound the weights' text. A string there
@@ -157,16 +293,28 @@ def _parse_snapshot(
     lo, hi = line.index("["), line.rindex("]")
     screened = any(line.find(c, lo, hi) >= 0 for c in '"au')
     if screened and not set(map(type, vals)) <= {int, float}:
-        fail(f'"{key}" must hold JSON numbers only, not strings, booleans or null')
+        _fail(where, f'"{key}" must hold JSON numbers only, not strings, booleans or null')
     try:
         arr = np.array(vals, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        fail(f'"{key}" contains a non-numeric entry')
+        _fail(where, f'"{key}" contains a non-numeric entry')
     if arr.ndim != 1:
-        fail(f'"{key}" must be a flat list of numbers, not a nested one')
+        _fail(where, f'"{key}" must be a flat list of numbers, not a nested one')
+    return t, n, key, arr
+
+
+def _check_order(t: int, n: int, prev: GraphSnapshot | None, where: str) -> None:
+    if prev is not None:
+        if n != prev.n:
+            _fail(where, f"node count changed from {prev.n} to {n}")
+        if t <= prev.t:
+            _fail(where, f'"t" must increase: {t} follows {prev.t}')
+
+
+def _snapshot(t: int, n: int, key: str, arr: np.ndarray, where: str) -> GraphSnapshot:
     if not np.isfinite(arr).all():
-        fail(f'"{key}" contains a non-finite weight')
-    if has_tri:
+        _fail(where, f'"{key}" contains a non-finite weight')
+    if key == "tri":
         w = np.zeros((n, n))
         iu = _triu_cache(n)
         w[iu] = arr

@@ -1,13 +1,18 @@
 """Tests for stream serialization, trace/report writers, sensor correlation
 streams, and config parsing."""
 
+import contextlib
 import io
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import spectral_cusum.io as stream_io
 from spectral_cusum import (
     EXACT,
     IID_FULL,
@@ -19,6 +24,7 @@ from spectral_cusum import (
     StreamScenario,
     assignment_from_sizes,
     build_indicator,
+    iter_stream,
     iter_stream_file,
     make_stream,
     parse_config,
@@ -31,6 +37,7 @@ from spectral_cusum import (
     write_trace,
     xcorr_stream,
 )
+from spectral_cusum.cli import main
 
 
 def scenario(**kw):
@@ -214,6 +221,222 @@ class TestStreamErrors:
         assert two.weights.tolist() == [[1.0, -2.5], [-2.5, 3.0]]
         with pytest.raises(StreamFormatError, match="line 1: .*non-finite"):
             read_stream(io.StringIO('{"t": 1, "n": 1, "full": [NaN]}\n'))
+
+
+def json_only():
+    """Force every line through the json reader, the fast reader's twin."""
+    return mock.patch.object(stream_io, "_EXTENDED", False)
+
+
+def outcome(text: str):
+    """What iter_stream_file makes of a text: the snapshots it yields, as
+    (t, shape, weight bytes), and the message of the StreamFormatError that
+    ends it, if one does."""
+    snaps = []
+    try:
+        for snap in iter_stream_file(io.StringIO(text)):
+            snaps.append((snap.t, snap.weights.shape, snap.weights.tobytes()))
+    except StreamFormatError as err:
+        return snaps, str(err)
+    return snaps, None
+
+
+def bits(x: float) -> int:
+    return int(np.float64(x).view(np.uint64))
+
+
+needs_extended = pytest.mark.skipif(
+    not stream_io._EXTENDED, reason="the canonical reader needs x87 extended precision"
+)
+
+
+@needs_extended
+class TestCanonicalReader:
+    """Lines in write_stream's exact layout are read without json: digits as
+    integers, scaled in extended precision, bit for bit float(token)."""
+
+    @pytest.mark.parametrize(
+        "token",
+        [
+            "1.700356855955824309",
+            "-0.0",
+            "0.0",
+            "1e-05",
+            "5e-324",
+            "2.2250738585072014e-308",
+            "1.7976931348623157e+308",
+            "1e+22",
+            "0.00012345678901234567",
+            "1.8446744073709551617",
+            "12345678901234567890.5",
+            "9007959353158310.0000",
+            "0.1234567890123456789012345678",
+            "0.0000000000000000000000000001",
+            "-123456.5",
+            "9007199254740993.0",
+        ],
+    )
+    def test_each_token_reads_as_float_of_it(self, token):
+        line = f'{{"t":1,"n":1,"tri":[{token}]}}\n'
+        t, n, key, weights = stream_io._read_canonical(line)
+        assert (t, n, key) == (1, 1, "tri")
+        assert bits(weights[0]) == bits(float(token))
+        (snap,) = read_stream(io.StringIO(line))
+        assert bits(snap.weights[0, 0]) == bits(float(token))
+
+    def test_a_float64_midpoint_is_read_by_float(self):
+        """1700356855955824309 / 10**18 rounds in extended precision onto a
+        float64 midpoint, and rounding that to float64 lands one ulp low."""
+        once = np.longdouble(1700356855955824309) / np.longdouble(10**18)
+        assert float(np.float64(once)) == 1.7003568559558242
+        assert float("1.700356855955824309") == 1.7003568559558244
+        (weight,) = stream_io._read_canonical('{"t":1,"n":1,"full":[1.700356855955824309]}')[3]
+        assert weight == 1.7003568559558244
+
+    def test_powers_of_ten_are_exact(self):
+        assert [int(p) for p in stream_io._POW10] == [10**k for k in range(28)]
+
+    def test_an_overflowing_exponent_is_a_non_finite_weight(self):
+        text = '{"t":1,"n":2,"tri":[0.5,1e999,0.25]}\n'
+        message = 'line 1: "tri" contains a non-finite weight'
+        for reader in (contextlib.nullcontext(), json_only()):
+            with reader, pytest.raises(StreamFormatError, match=message):
+                read_stream(io.StringIO(text))
+
+    @pytest.mark.parametrize("token, value", [("1", 1.0), ("-0", 0.0), ("7", 7.0)])
+    def test_integer_tokens_take_the_json_path(self, token, value):
+        line = f'{{"t":1,"n":1,"tri":[{token}]}}\n'
+        assert stream_io._read_canonical(line) is None
+        (snap,) = read_stream(io.StringIO(line))
+        assert bits(snap.weights[0, 0]) == bits(value)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"t":1,"n":2,"tri":[0.5, 1.0,0.5]}',
+            '{"n":2,"t":1,"tri":[0.5,1.0,0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,1.0]}',
+            '{"t":1,"n":2,"tri":[0.5,01.0,0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,+1.0,0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,.5,0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,5.,0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,1.0.0,0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,1-0.0,0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,NaN,0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,"1.0",0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,[1.0],0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,1e,0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,1.0,0.5],"t":2}',
+            ' {"t":1,"n":2,"tri":[0.5,1.0,0.5]}',
+            '{"t":1,"n":2,"tri":[0.5,1.0,0.5]}x',
+            '{"t":1,"n":1,"tri":[0.512',
+            '{"t":1,"n":2,"tri":[0..5.5,1,]}',
+        ],
+    )
+    def test_other_lines_go_to_json(self, line):
+        assert stream_io._read_canonical(line) is None
+        with json_only():
+            expected = outcome(line)
+        assert outcome(line) == expected
+
+    @pytest.mark.parametrize("convention", ["symmetric", IID_FULL])
+    @pytest.mark.parametrize("n", [1, 2, 20, 100])
+    def test_written_streams_read_back_bit_for_bit(self, n, convention):
+        sc = scenario(assignment=assignment_from_sizes((1,), n=n), convention=convention)
+        snaps = list(iter_stream(sc))
+        buf = io.StringIO()
+        write_stream(snaps, buf)
+        text = buf.getvalue()
+        assert all(stream_io._read_canonical(line) for line in text.splitlines())
+        for reader in (contextlib.nullcontext(), json_only()):
+            with reader:
+                back = read_stream(io.StringIO(text))
+            assert [s.t for s in back] == [s.t for s in snaps]
+            for a, b in zip(snaps, back):
+                assert a.weights.tobytes() == b.weights.tobytes()
+
+
+_ODD_TOKENS = [
+    "1", "-0", "7", "00.5", "01.5", "-00.1", "+1.5", ".5", "5.", "1.2.3", "--1.0", "1-.0",
+    "-", "", "NaN", "Infinity", "-Infinity", "true", "false", "null", '"1.5"', "[1.0]", "[]",
+    "1e5", "1E+5", "1.5e-7", "-2.5E-300", "1e999", "-1e999", "1e", "1e+", "0e0", "1.e5",
+    "01e5", "-0.0e0", " 1.5", "1.5 ", "1.5\t", "1,5", "0x10", "1_0.5", "¹.5",
+]
+
+_PLAIN_TOKENS = st.builds(
+    lambda sign, whole, frac: f"{sign}{whole}.{frac}",
+    st.sampled_from(["", "-"]),
+    st.one_of(st.just("0"), st.integers(1, 10**25).map(str)),
+    st.text("0123456789", min_size=1, max_size=32),
+)
+
+_TOKENS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    _PLAIN_TOKENS,
+    st.sampled_from(["-0.0", "0.0", "5e-324", "1e-05", "1.700356855955824309", "1e+22"]),
+)
+
+
+@st.composite
+def stream_lines(draw, t: int):
+    """One stream line: write_stream's layout, or that layout perturbed."""
+    n = draw(st.integers(1, 3))
+    key = draw(st.sampled_from(["tri", "full"]))
+    count = n * (n + 1) // 2 if key == "tri" else n * n
+    tokens = draw(st.lists(_TOKENS, min_size=count, max_size=count))
+    fields = [f'"t":{t}', f'"n":{n}', f'"{key}":[{{}}]']
+    kind = draw(st.sampled_from(
+        ["canonical", "token", "count", "whitespace", "order", "duplicate", "extra", "truncate", "tail"]
+    ))
+    if kind == "token":
+        tokens[draw(st.integers(0, count - 1))] = draw(st.sampled_from(_ODD_TOKENS))
+    elif kind == "count":
+        if draw(st.booleans()) or count == 1:
+            tokens.append(draw(_TOKENS))
+        else:
+            tokens.pop()
+    elif kind == "order":
+        fields = draw(st.permutations(fields))
+    elif kind == "duplicate":
+        fields.append(draw(st.sampled_from(fields)))
+    elif kind == "extra":
+        fields.append('"x":1')
+    line = "{" + ",".join(fields).replace("{}", ",".join(tokens)) + "}"
+    if kind == "whitespace":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from([" ", "\t", "\r", "  "])) + line[at:]
+    elif kind == "truncate":
+        line = line[: draw(st.integers(0, len(line) - 1))]
+    elif kind == "tail":
+        line += draw(st.sampled_from([" ", "\t", "\r", " \t "]))
+    return line + "\n"
+
+
+@st.composite
+def stream_texts(draw):
+    times = draw(st.lists(st.integers(-2, 6), min_size=1, max_size=3))
+    return "".join(draw(stream_lines(t)) for t in times)
+
+
+class TestReaderFuzz:
+    """Every line, canonical or not, reads as the json reader reads it."""
+
+    @given(text=stream_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_fast_reader_matches_the_json_reader(self, text):
+        with json_only():
+            expected = outcome(text)
+        assert outcome(text) == expected
+
+    @given(text=stream_texts())
+    @settings(max_examples=100, deadline=None)
+    def test_detect_exits_zero_or_three(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("fuzz") / "s.ndjson"
+        path.write_text(text)
+        argv = ["detect", str(path), "--method", "spectral", "--m", "1", "--window", "1",
+                "--b", "5.0", "--out", str(path.with_suffix(".csv"))]
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 3)
 
 
 class TestTraceAndReports:
