@@ -18,6 +18,21 @@ and exponent forms such as 1e-05 are converted by float(). Every other line
 (whitespace, another key order, integers, literals, strings, nested lists),
 and every line where long double is not x87 extended, goes through json,
 which also words every error; both readers give the same snapshots.
+
+write_stream writes what json.dumps writes, byte for byte, but on x87 it
+formats float64 weights without float.__repr__ (dtoa), which is most of
+json's cost. |x| is scaled once into [1e16, 1e17) as |x| * 10**k in extended
+precision, within 2**-8 of the exact product, and half of x's rounding
+interval, scaled alike, is exact in float64. repr's digits are the nearest
+multiple of the largest place 10**j (j < 9) that still has a multiple
+strictly inside that interval; whether a place has one is monotone in j, so
+the places 1, 10, ..., 10**9 are tested at once, in float64 on y mod 10**9.
+The digits are laid into fixed rows of bytes from tables and the padding is
+dropped. A weight goes to float.__repr__ when a decision falls within the
+error bound, when it is 0.0 or a power of two (its interval is lopsided),
+when |x| is outside [1e-4, 1e16) (repr writes an exponent there), or when it
+needs fewer than 9 digits; other dtypes and other platforms go through
+json.dumps.
 """
 
 from __future__ import annotations
@@ -26,6 +41,7 @@ import csv
 import json
 import math
 import re
+import sys
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -41,6 +57,9 @@ class StreamFormatError(ValueError):
     """A stream, sensor, or config file does not match the documented format."""
 
 
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # the lone surrogates surrogateescape reads bytes as
+
+
 @contextmanager
 def _opened(path_or_file, mode):
     """Yield a file object for a path or an open file; close only what was
@@ -48,7 +67,10 @@ def _opened(path_or_file, mode):
     if hasattr(path_or_file, "read") or hasattr(path_or_file, "write"):
         yield path_or_file
     else:
-        with open(path_or_file, mode) as fh:
+        # a byte that is not UTF-8 reads as a lone surrogate, which the
+        # readers' own checks then refuse with the file's name and line
+        errors = "surrogateescape" if mode == "r" else None
+        with open(path_or_file, mode, errors=errors) as fh:
             yield fh
 
 
@@ -60,19 +82,26 @@ def write_stream(stream, path_or_file) -> int:
     """Write snapshots as NDJSON; returns the number of snapshots written.
 
     Bit-symmetric snapshots are stored as their upper triangle, anything else
-    as the full matrix; read_stream restores either form exactly.
+    as the full matrix; read_stream restores either form exactly. A weight
+    that is not finite has no token the reader takes, so a snapshot holding
+    one raises ValueError before any byte of its line is written.
     """
     with _opened(path_or_file, "w") as fh:
         count = 0
         for snap in stream:
             w = snap.weights
+            if w.dtype.kind == "f" and not np.isfinite(w).all():
+                raise ValueError(f"snapshot t={snap.t}: a stream file cannot hold a non-finite weight")
             if np.array_equal(w, w.T):
-                iu = _triu_cache(snap.n)
-                payload = {"t": snap.t, "n": snap.n, "tri": w[iu].tolist()}
+                key, weights = "tri", w[_triu_cache(snap.n)]
             else:
-                payload = {"t": snap.t, "n": snap.n, "full": w.ravel().tolist()}
-            fh.write(json.dumps(payload, separators=(",", ":")))
-            fh.write("\n")
+                key, weights = "full", w.ravel()
+            if _EXTENDED and weights.dtype == np.float64:
+                head = json.dumps({"t": snap.t, "n": snap.n, key: []}, separators=(",", ":"))
+                fh.write(f"{head[:-2]}{_weight_tokens(weights)}]}}\n")  # head without its "]}"
+            else:
+                fh.write(json.dumps({"t": snap.t, "n": snap.n, key: weights.tolist()}, separators=(",", ":")))
+                fh.write("\n")
             count += 1
         return count
 
@@ -264,6 +293,10 @@ def _read_json(line: str, where: str, prev: GraphSnapshot | None):
         raise StreamFormatError(f"{where}: invalid JSON ({err.msg})") from None
     except StreamFormatError as err:
         raise StreamFormatError(f"{where}: {err}") from None
+    except ValueError:  # int() refuses more digits than sys.get_int_max_str_digits()
+        _fail(where, f"a number has more than {sys.get_int_max_str_digits()} digits")
+    except RecursionError:
+        _fail(where, "invalid JSON (nested too deeply)")
     if not isinstance(obj, dict):
         _fail(where, "expected a JSON object")
     unknown = set(obj) - _STREAM_KEYS
@@ -322,6 +355,138 @@ def _snapshot(t: int, n: int, key: str, arr: np.ndarray, where: str) -> GraphSna
     else:
         w = arr.reshape(n, n)
     return GraphSnapshot(t=t, weights=w)
+
+
+# The writer's tables (see the module docstring). A weight's token is built
+# in a row of 40 bytes: byte 0 holds its sign, bytes 1-5 "0." and up to three
+# zeros, bytes 6, 8, ..., 38 its 17 digits, the odd bytes between them the
+# decimal point or nothing, and byte 39 the comma after it; NUL bytes are
+# then dropped. Rows of digits come from _LEAD and _DIGITS4 and are XORed
+# with _TOKEN_MASK[k, count], which writes the point, the comma and the
+# zeros ahead of the digits, and turns the dropped trailing "0"s into NULs.
+_WRITE_CHUNK = 2048  # weights per pass: the temporaries stay near 0.4 MB at any n
+_SCALE_ERROR = 2.0**-8  # half an extended ulp of y < 2**57: y's distance from |x| * 10**k
+_ABS = 0x7FFFFFFFFFFFFFFF
+_MANTISSA_SHIFT = 12  # bits << 12 is 0 for 0.0 and for powers of two, whose intervals are lopsided
+_FIXED_LOW = int(np.float64(1e-4).view(np.uint64))  # repr writes [1e-4, 1e16) without an exponent
+_FIXED_SPAN = int(np.float64(1e16).view(np.uint64)) - _FIXED_LOW
+_STAND_IN = int(np.float64(1.5).view(np.uint64))  # scaled in place of weights repr() writes
+_NEAR_PLACES = np.array([1.0, 10.0, 100.0, 1000.0])[:, None]  # drop 0 to 3 digits
+_FAR_PLACES = np.array([1e4, 1e5, 1e6, 1e7, 1e8, 1e9])[:, None]  # 9: the weight goes to repr()
+_PLACES = np.array([10**j for j in range(10)])  # _PLACES[count - 1]: the place of the last digit kept
+_EXPONENTS = range(-14, 54)  # binary exponents of [1e-4, 1e16)
+# Indexed by 2 * (x's binary exponent - _EXPONENTS[0]) + (1 if |x| reaches
+# the next decade within its binade): k, with |x| * 10**k in [1e16, 1e17);
+# 10**k in extended precision; half of x's gap times 10**k, 2**(e - 53) *
+# 10**k. All are exact. _NEXT_DECADE is indexed by the exponent alone.
+_NEXT_DECADE = np.empty(len(_EXPONENTS))
+_DECADE_K = np.empty(2 * len(_EXPONENTS), np.intp)
+_DECADE_SCALE = np.empty(2 * len(_EXPONENTS), np.longdouble)
+_HALF_GAP = np.empty(2 * len(_EXPONENTS))
+for _i, _e in enumerate(_EXPONENTS):
+    _decade = len(str(2**_e)) - 1 if _e >= 0 else len(str(5**-_e)) - 1 + _e  # floor(log10(2**e))
+    _NEXT_DECADE[_i] = float(f"1e{_decade + 1}")
+    for _over in (0, 1):
+        _k = 16 - _decade - _over
+        _DECADE_K[2 * _i + _over] = _k
+        _DECADE_SCALE[2 * _i + _over] = _POW10[_k]
+        _HALF_GAP[2 * _i + _over] = 2.0 ** (_e - 53) * 10**_k
+_DIGIT = ord("0") + np.arange(10, dtype=np.uint64)
+_DIGITS4 = (  # 0000 to 9999, spread over the even bytes of a word
+    ((_DIGIT[:, None] | _DIGIT << 16)[:, :, None] | _DIGIT << 32)[:, :, :, None] | _DIGIT << 48
+).ravel()
+_LEAD = np.array(  # the sign and the first digit
+    [(ord("0") + d) << 48 | (ord("-") if neg else 0) for neg in (0, 1) for d in range(10)], np.uint64
+)
+
+
+def _token_mask(k: int, count: int) -> np.ndarray:
+    """The XOR that turns a row of 17 digits, scaled by 10**k, into its
+    token with the last count - 1 digits dropped."""
+    point = 17 - k  # digits before the decimal point
+    mask = bytearray(40)
+    if point <= 0:
+        mask[1 : 3 - point] = b"0." + b"0" * -point
+    else:
+        mask[5 + 2 * point] = ord(".")
+    for i in range(max(18 - count, point + 1), 17):  # "12000.0" keeps a zero after the point
+        mask[6 + 2 * i] = ord("0")
+    mask[39] = ord(",")
+    return np.frombuffer(bytes(mask), np.uint64)
+
+
+_TOKEN_MASK = np.array([[_token_mask(k, c) for c in range(11)] for k in range(21)]).reshape(-1, 5)
+
+
+def _weight_tokens(weights: np.ndarray) -> str:
+    """json.dumps's text for a list of finite float64 weights, without its
+    brackets: the weights' reprs, comma-separated, built as the module
+    docstring says."""
+    rows = np.empty((_WRITE_CHUNK, 5), np.uint64)
+    text = b"".join(
+        _token_rows(weights[i : i + _WRITE_CHUNK], rows) for i in range(0, weights.size, _WRITE_CHUNK)
+    )
+    return text[:-1].decode("ascii")
+
+
+def _token_rows(x: np.ndarray, rows: np.ndarray) -> bytes:
+    """The repr of each weight in x, each followed by a comma; rows is
+    scratch space of at least x.size rows."""
+    bits = x.view(np.uint64)
+    mag = bits & _ABS
+    fast = ((mag - _FIXED_LOW) < _FIXED_SPAN) & ((bits << _MANTISSA_SHIFT) != 0)
+    mag[~fast] = _STAND_IN  # so nothing below overflows
+    a = mag.view(np.float64)
+    exponent = ((mag >> 52) - (1023 + _EXPONENTS[0])).astype(np.intp)
+    scale = 2 * exponent + (a >= _NEXT_DECADE[exponent])
+    y = a.astype(np.longdouble)
+    y *= _DECADE_SCALE[scale]  # in [1e16, 1e17), within _SCALE_ERROR of |x| * 10**k
+    whole = y.astype(np.uint64).view(np.int64)
+    low = (y - (whole - whole % 10**9)).astype(np.float64)  # y mod 10**9, exact
+    half = _HALF_GAP[scale]
+    count, down, unsure = _kept_places(low, half, _NEAR_PLACES)
+    far = np.flatnonzero(count == len(_NEAR_PLACES))
+    if far.size:
+        more, far_down, far_unsure = _kept_places(low[far], half[far], _FAR_PLACES)
+        count[far] += more
+        down[far[more > 0]] = far_down[more > 0]
+        unsure[far] |= far_unsure
+    place = _PLACES[count - 1]
+    up = place - down
+    kept = whole - down.astype(np.int64) + (up < down) * place  # the nearest multiple of place
+    fast &= ~unsure & (np.abs(up - down) > 2 * _SCALE_ERROR) & (count < 10) & (kept < 10**17)
+    kept[~fast] = 10**16
+    lead = kept // 10**16
+    kept -= lead * 10**16
+    high = kept // 10**8
+    kept -= high * 10**8
+    r = rows[: x.size]
+    r[:, 0] = _LEAD[lead + 10 * (x < 0)]
+    for word, digits in ((1, high), (3, kept)):
+        top = digits // 10**4
+        r[:, word] = _DIGITS4[top]
+        r[:, word + 1] = _DIGITS4[digits - top * 10**4]
+    r ^= np.take(_TOKEN_MASK, _DECADE_K[scale] * 11 + count, axis=0)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        tokens = b"".join(repr(v).encode().ljust(39, b"\0") + b"," for v in x[slow].tolist())
+        r[slow] = np.frombuffer(tokens, np.uint64).reshape(-1, 5)
+    return r.tobytes().translate(None, b"\0")
+
+
+def _kept_places(low: np.ndarray, half: np.ndarray, places: np.ndarray):
+    """For each scaled weight y (given as y mod 10**9): how many of places,
+    in order, have a multiple strictly inside the weight's rounding interval
+    (|multiple - y| < half), the distance down from y to a multiple of the
+    last such place, and whether any answer falls within _SCALE_ERROR."""
+    down = np.floor(low / places)
+    down *= places
+    np.subtract(low, down, out=down)  # low mod place, exact
+    gap = np.minimum(down, places - down)
+    count = (gap < half - _SCALE_ERROR).sum(axis=0)
+    gap -= half
+    unsure = (np.abs(gap) <= _SCALE_ERROR).any(axis=0)
+    return count, down[np.maximum(count - 1, 0), np.arange(low.size)], unsure
 
 
 def write_trace(result: DetectionResult, path_or_file) -> int:
@@ -417,6 +582,8 @@ def read_sensor_csv(path_or_file, segment: int) -> MultichannelSeries:
         except StopIteration:
             raise StreamFormatError(f"{name}: empty file, expected a header row") from None
         names = [h.strip() for h in header]
+        if _NOT_UTF8.search("".join(names)):
+            raise StreamFormatError(f"{name}: line 1: a channel name is not UTF-8 text")
         if len(names) < 2:
             raise StreamFormatError(f"{name}: need at least two channels, got {len(names)}")
         rows = []
@@ -447,15 +614,21 @@ def xcorr_stream(series: MultichannelSeries) -> list[GraphSnapshot]:
     non-overlapping segment; trailing samples short of a full segment are
     dropped. A zero-variance channel would make its correlations undefined,
     so those entries (its whole row and column, diagonal included) are set to
-    0 with a warning.
+    0 with a warning. A segment whose sums of squares overflow, as samples
+    near 1e200 do, raises StreamFormatError naming it.
     """
     length = series.segment
     segments = series.samples // length
     snaps: list[GraphSnapshot] = []
     for s in range(segments):
         block = series.values[s * length : (s + 1) * length]
-        centered = block - block.mean(axis=0)
-        norms = np.sqrt((centered**2).sum(axis=0))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+            centered = block - block.mean(axis=0)
+            norms = np.sqrt((centered**2).sum(axis=0))
+        if not np.isfinite(norms).all():
+            raise StreamFormatError(
+                f"segment {s + 1}: samples too large to correlate (a sum of squares overflows)"
+            )
         flat = norms == 0.0
         if flat.any():
             bad = ", ".join(series.names[i] for i in np.nonzero(flat)[0])
@@ -485,6 +658,8 @@ def parse_config(path_or_file) -> dict[str, str]:
         name = _name_of(fh)
         out: dict[str, str] = {}
         for lineno, raw in enumerate(fh, start=1):
+            if _NOT_UTF8.search(raw):
+                raise StreamFormatError(f"{name}: line {lineno}: not UTF-8 text")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue

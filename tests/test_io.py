@@ -5,6 +5,8 @@ import contextlib
 import io
 import json
 import math
+import sys
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -223,6 +225,71 @@ class TestStreamErrors:
             read_stream(io.StringIO('{"t": 1, "n": 1, "full": [NaN]}\n'))
 
 
+def detect_exit(path) -> tuple[int, str]:
+    """Exit code and stderr of `detect` on a stream file."""
+    err = io.StringIO()
+    argv = ["detect", str(path), "--method", "spectral", "--m", "1", "--window", "1",
+            "--b", "5.0", "--out", str(path.with_suffix(".csv"))]
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestMalformedFilesExitThree:
+    """Lines json cannot take, and bytes that are not UTF-8, are format
+    errors naming the file and line, not usage errors or tracebacks."""
+
+    def test_an_integer_past_the_digit_limit(self, tmp_path):
+        path = tmp_path / "big.ndjson"
+        path.write_text('{"t":1,"n":1,"tri":[' + "1" * 5000 + "]}\n")
+        code, err = detect_exit(path)
+        assert code == 3
+        assert f"{path}: line 1: a number has more than {sys.get_int_max_str_digits()} digits" in err
+
+    def test_a_weight_list_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "deep.ndjson"
+        path.write_text('{"t":1,"n":1,"tri":' + "[" * 100_000 + "]" * 100_000 + "}\n")
+        code, err = detect_exit(path)
+        assert code == 3
+        assert f"{path}: line 1: invalid JSON (nested too deeply)" in err
+
+    def test_a_byte_that_is_not_utf8_in_a_stream(self, tmp_path):
+        path = tmp_path / "s.ndjson"
+        path.write_bytes(b'{"t":1,"n":1,"tri":[0.5]}\n{"t":2,"n":1,"tri":[0.5\xff]}\n')
+        code, err = detect_exit(path)
+        assert code == 3
+        assert f"{path}: line 2: invalid JSON" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (b"a,b\n1,2\n3,\xff\n", "line 3: non-numeric value"),
+            (b"a,\xffb\n1,2\n3,4\n", "line 1: a channel name is not UTF-8 text"),
+        ],
+        ids=["row", "header"],
+    )
+    def test_a_byte_that_is_not_utf8_in_a_sensor_csv(self, tmp_path, text, message):
+        path = tmp_path / "s.csv"
+        path.write_bytes(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["xcorr", str(path), "--segment", "2", "--out", str(tmp_path / "o.ndjson")])
+        assert code == 3
+        assert f"{path}: {message}" in err.getvalue()
+
+    def test_a_byte_that_is_not_utf8_in_a_config(self, tmp_path):
+        stream = tmp_path / "s.ndjson"
+        write_stream(make_stream(scenario()), stream)
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"b = 5.0\n# caf\xe9\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["detect", str(stream), "--config", str(config), "--method", "spectral",
+                         "--m", "1", "--window", "1", "--out", str(tmp_path / "o.csv")])
+        assert code == 3
+        assert f"{config}: line 2: not UTF-8 text" in err.getvalue()
+
+
 def json_only():
     """Force every line through the json reader, the fast reader's twin."""
     return mock.patch.object(stream_io, "_EXTENDED", False)
@@ -355,6 +422,113 @@ class TestCanonicalReader:
             for a, b in zip(snaps, back):
                 assert a.weights.tobytes() == b.weights.tobytes()
 
+
+def json_tokens(weights) -> str:
+    """The slow twin: json.dumps's text for the weights, without brackets."""
+    return json.dumps(np.asarray(weights, dtype=float).tolist(), separators=(",", ":"))[1:-1]
+
+
+def near_a_half(start: float, k: int) -> float:
+    """The first float from start up whose value times 10**k lies within the
+    writer's error bound of a half: the nearest 17-digit candidate is too
+    close to call there."""
+    x = start
+    while abs((Fraction(x) * 10**k) % 1 - Fraction(1, 2)) > Fraction(1, 256):  # 2**-8
+        x = math.nextafter(x, math.inf)
+    return x
+
+
+_FINITE_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(1e-4, 1e16).flatmap(lambda x: st.sampled_from([x, -x])),  # formatted without repr()
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.uint64(b).view(np.float64))).filter(math.isfinite),
+)
+
+
+@needs_extended
+class TestFastWriter:
+    """write_stream formats float64 weights without float.__repr__ and
+    writes, byte for byte, what json.dumps writes."""
+
+    @given(values=st.lists(_FINITE_FLOATS, min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_tokens_match_json(self, values):
+        assert stream_io._weight_tokens(np.array(values)) == json_tokens(values)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            0.0, -0.0, 5e-324, -5e-324, 2.0**-1074 * 3, 1.0, 2.0, 0.5, 2.0**53, 2.0**-14,
+            1e-4, np.nextafter(1e-4, 0), -1e-4, 1e16, np.nextafter(1e16, 0), -np.nextafter(1e16, 0),
+            0.1, 0.3, 9.5, 10.0, 1e15, 1e-3, 0.01, 1e22, 1e300, 1.7976931348623157e308,
+            123456789.0, 1234567890123456.0, 0.000123456789, 2.0 / 3.0, 1 / 3, np.pi * 1e15,
+            1000000000000000.25, near_a_half(1.0, 16), near_a_half(0.3, 17), near_a_half(0.0002, 20),
+            -near_a_half(7.0, 16),
+        ],
+    )
+    def test_pinned_weights(self, value):
+        x = np.array([value, -value, value, 0.75])
+        assert stream_io._weight_tokens(x) == json_tokens(x)
+
+    def test_every_power_of_two_in_the_fixed_range(self):
+        """Powers of two have lopsided intervals and go to repr()."""
+        x = 2.0 ** np.arange(-16, 56)
+        assert stream_io._weight_tokens(np.concatenate([x, -x])) == json_tokens(np.concatenate([x, -x]))
+
+    def test_half_gaps_are_exact(self):
+        """Half of x's rounding interval, scaled like x, is exact in float64
+        for every binary exponent of [1e-4, 1e16)."""
+        for j, e in enumerate(stream_io._EXPONENTS):
+            for over in (0, 1):
+                i = 2 * j + over
+                k = int(stream_io._DECADE_K[i])
+                assert Fraction(stream_io._HALF_GAP[i]) == Fraction(2) ** (e - 53) * 10**k
+                assert int(stream_io._DECADE_SCALE[i]) == 10**k
+
+    @pytest.mark.parametrize("convention", ["symmetric", IID_FULL])
+    @pytest.mark.parametrize("n", [1, 2, 20, 100])
+    def test_written_lines_match_json(self, n, convention):
+        sc = scenario(assignment=assignment_from_sizes((1,), n=n), convention=convention)
+        snaps = list(iter_stream(sc))
+        fast, slow = io.StringIO(), io.StringIO()
+        write_stream(snaps, fast)
+        with json_only():
+            write_stream(snaps, slow)
+        assert fast.getvalue() == slow.getvalue()
+
+    def test_weights_past_one_chunk_and_scaled_widely(self):
+        size = 3 * stream_io._WRITE_CHUNK + 5
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal(size) * 10.0 ** rng.integers(-7, 18, size)
+        assert stream_io._weight_tokens(x) == json_tokens(x)
+
+    def test_other_dtypes_go_to_json(self):
+        snap = GraphSnapshot(t=1, weights=np.array([[1, 2], [2, 3]]))
+        buf = io.StringIO()
+        write_stream([snap], buf)
+        assert buf.getvalue() == '{"t":1,"n":2,"tri":[1,2,3]}\n'
+
+    def test_simulated_lines_take_the_canonical_reader(self):
+        """No line the writer makes from a simulated stream is left to json."""
+        sc = scenario(assignment=assignment_from_sizes((30, 15), n=100), horizon=4)
+        buf = io.StringIO()
+        write_stream(iter_stream(sc), buf)
+        buf.seek(0)
+        with mock.patch.object(stream_io, "_read_json", side_effect=AssertionError("json reader")):
+            assert len(read_stream(buf)) == 4
+
+
+class TestNonFiniteWrites:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_weight_stops_before_its_line(self, bad):
+        snaps = make_stream(scenario())
+        weights = snaps[1].weights.copy()
+        weights[0, 1] = bad
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="snapshot t=2: a stream file cannot hold a non-finite weight"):
+            write_stream([snaps[0], GraphSnapshot(t=2, weights=weights), snaps[2]], buf)
+        assert buf.getvalue().count("\n") == 1
+        assert read_stream(io.StringIO(buf.getvalue()))[0].t == 1
 
 _ODD_TOKENS = [
     "1", "-0", "7", "00.5", "01.5", "-00.1", "+1.5", ".5", "5.", "1.2.3", "--1.0", "1-.0",
@@ -572,6 +746,20 @@ class TestXcorrStream:
             off.extend(np.abs(s.weights[iu]))
         off = np.array(off)
         assert (off <= 0.2).mean() >= 0.95
+
+    def test_overflowing_samples_are_refused(self, tmp_path):
+        """Samples near 1e200 overflow a sum of squares: the correlation of
+        segment 1 would be written as 0.0 although it is -1."""
+        values = [[1e200, 1.0], [-1e200, 2.0], [3e200, 0.0], [0.0, 5.0]]
+        with pytest.raises(StreamFormatError, match="segment 1: samples too large to correlate"):
+            xcorr_stream(self.series(values, segment=2))
+        path = tmp_path / "big.csv"
+        path.write_text("a,b\n1e200,1\n-1e200,2\n3e200,0\n0,5\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["xcorr", str(path), "--segment", "2", "--out", str(tmp_path / "o.ndjson")])
+        assert code == 3
+        assert "segment 1" in err.getvalue()
 
     def test_round_trips_through_the_stream_format(self, tmp_path):
         rng = np.random.default_rng(3)
