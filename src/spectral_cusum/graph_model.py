@@ -9,7 +9,7 @@ nonzero eigenvalues of AA^T.
 
 from __future__ import annotations
 
-import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
@@ -141,14 +141,22 @@ def sample_snapshot(
     is drawn independently and mirrored, so G = G^T holds bit-exactly. Under
     "iid-full" all n^2 entries are drawn independently and no symmetry holds.
     """
-    if not 0 <= sigma < math.inf:
-        raise ValueError("sigma must be finite and nonnegative")
+    _check_sigma(sigma)
     if convention not in CONVENTIONS:
         raise ValueError(f"unknown convention {convention!r}")
     mean = np.asarray(mean, dtype=float)
     if mean.ndim != 2 or mean.shape[0] != mean.shape[1]:
         raise ValueError("mean must be a square matrix")
     return GraphSnapshot(t=t, weights=_draw_block([(mean, 1)], sigma, convention, rng)[0])
+
+
+def _check_sigma(sigma: float) -> None:
+    """Refuse a sigma whose draws could overflow. numpy's standard normals
+    stay below 13.7 in size (the tail draw is r + (-ln(1 - u)) / r with
+    r = 3.654 and u <= 1 - 2**-53), so sigma * z stays finite up to
+    sys.float_info.max / 16."""
+    if not 0 <= sigma <= sys.float_info.max / 16:
+        raise ValueError(f"sigma must be finite, nonnegative and at most {sys.float_info.max / 16!r}")
 
 
 @lru_cache(maxsize=_CACHE_MAXSIZE)
@@ -207,8 +215,7 @@ class StreamScenario:
     convention: str = SYMMETRIC
 
     def __post_init__(self):
-        if not 0 <= self.sigma < math.inf:
-            raise ValueError("sigma must be finite and nonnegative")
+        _check_sigma(self.sigma)
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.tau is not None and self.tau < 0:

@@ -10,29 +10,31 @@ bit-exactly for finite values.
 A line exactly in write_stream's layout is read without json's correctly
 rounded decimal-to-binary conversion, which is most of json's cost: a weight
 -?D.F is the integer DF, parsed by numpy as uint64, over 10**len(F), divided
-in x87 extended precision. Both operands are exact there (DF below 2**64,
-10**k up to k = 27), so the quotient is rounded once, and rounding it on to
-float64 gives float(token) unless it landed exactly on a float64 midpoint.
-Those weights, weights with more than 19 significant digits or 27 decimals,
-and exponent forms such as 1e-05 are converted by float(). Every other line
-(whitespace, another key order, integers, literals, strings, nested lists),
-and every line where long double is not x87 extended, goes through json,
-which also words every error; both readers give the same snapshots.
+in x87 extended precision. Both operands are exact there (DF below 2**64
+when it has at most 19 digits, 10**k up to k = 27), so the quotient is
+rounded once, and rounding it on to float64 gives float(token) unless it
+landed exactly on a float64 midpoint. One float() loop reads the rest: those
+weights, weights with more than 19 digits, and up to 64 exponent forms such
+as 1e-05, which are first overwritten by "0." and zeros of the same length so
+that no offset moves. Every other line (whitespace, another key order,
+integers, literals, strings, nested lists), and every line where long double
+is not x87 extended, goes through json, which also words every error; both
+readers give the same snapshots.
 
 write_stream writes what json.dumps writes, byte for byte, but on x87 it
 formats float64 weights without float.__repr__ (dtoa), which is most of
 json's cost. |x| is scaled once into [1e16, 1e17) as |x| * 10**k in extended
 precision, within 2**-8 of the exact product, and half of x's rounding
 interval, scaled alike, is exact in float64. repr's digits are the nearest
-multiple of the largest place 10**j (j < 9) that still has a multiple
-strictly inside that interval; whether a place has one is monotone in j, so
-the places 1, 10, ..., 10**9 are tested at once, in float64 on y mod 10**9.
+multiple of the largest place 10**j that still has a multiple strictly
+inside that interval; whether a place has one is monotone in j, so the
+places 1, 10, 100 and 1000 are tested at once, in float64 on y mod 10**4.
 The digits are laid into fixed rows of bytes from tables and the padding is
 dropped. A weight goes to float.__repr__ when a decision falls within the
 error bound, when it is 0.0 or a power of two (its interval is lopsided),
-when |x| is outside [1e-4, 1e16) (repr writes an exponent there), or when it
-needs fewer than 9 digits; other dtypes and other platforms go through
-json.dumps.
+when |x| is outside [1e-4, 1e16) (repr writes an exponent there), or when
+all four places have a multiple in its interval (it needs fewer than 15
+digits); other dtypes and other platforms go through json.dumps.
 """
 
 from __future__ import annotations
@@ -83,13 +85,18 @@ def write_stream(stream, path_or_file) -> int:
 
     Bit-symmetric snapshots are stored as their upper triangle, anything else
     as the full matrix; read_stream restores either form exactly. A weight
-    that is not finite has no token the reader takes, so a snapshot holding
-    one raises ValueError before any byte of its line is written.
+    that is not finite, boolean or complex has no token the reader takes, so
+    a snapshot holding one raises ValueError before any byte of its line is
+    written.
     """
     with _opened(path_or_file, "w") as fh:
         count = 0
         for snap in stream:
             w = snap.weights
+            if w.dtype.kind not in "iuf":
+                raise ValueError(
+                    f"snapshot t={snap.t}: a stream file holds real numbers, not {w.dtype} weights"
+                )
             if w.dtype.kind == "f" and not np.isfinite(w).all():
                 raise ValueError(f"snapshot t={snap.t}: a stream file cannot hold a non-finite weight")
             if np.array_equal(w, w.T):
@@ -188,48 +195,37 @@ def _read_canonical(line: str):
     n = int(head[2])
     key = head[3]
     want = n * (n + 1) // 2 if key == "tri" else n * n
-    swapped = _swap_exponents(line[head.end() : stop].encode())
-    if swapped is None:
-        return None
-    weights = _plain_weights(*swapped, want)
+    weights = _plain_weights(line[head.end() : stop].encode(), want)
     if weights is None:
         return None
     return int(head[1]), n, key, weights
 
 
-def _swap_exponents(body: bytes):
-    """Put "0.0" in place of each token with an exponent; returns the new
-    body and {token offset in it: float(token)}, or None if such a token is
-    not a JSON number or there are too many to be worth a float() each."""
-    if b"e" not in body and b"E" not in body:
-        return body, {}
-    pieces, exact = [], {}
-    done = size = 0
+def _plain_weights(body: bytes, want: int):
+    """The float64 values of want comma-separated tokens -?(0|[1-9][0-9]*).[0-9]+,
+    at most _MAX_EXPONENT_TOKENS of them JSON numbers with an exponent, bit
+    for bit those of float(); None if body holds anything else."""
+    plain, exponents, done = body, [], 0
     while True:
         hits = [i for i in (body.find(b"e", done), body.find(b"E", done)) if i >= 0]
         if not hits:
             break
-        if len(exact) == _MAX_EXPONENT_TOKENS:
+        if len(exponents) == _MAX_EXPONENT_TOKENS:
             return None
-        lo = body.rfind(b",", done, min(hits)) + 1 or done
+        lo = body.rfind(b",", 0, min(hits)) + 1
         hi = body.find(b",", min(hits))
         hi = len(body) if hi < 0 else hi
         if _EXPONENT_TOKEN.fullmatch(body, lo, hi) is None:
             return None
-        size += lo - done
-        exact[size] = float(body[lo:hi])
-        size += 3
-        pieces += [body[done:lo], b"0.0"]
+        if not exponents:
+            plain = bytearray(body)
+        # a plain token as long as the exponent token (3 bytes at least), so
+        # no offset moves; float() reads the original below
+        plain[lo:hi] = b"0.".ljust(hi - lo, b"0")
+        exponents.append(lo)
         done = hi
-    pieces.append(body[done:])
-    return b"".join(pieces), exact
-
-
-def _plain_weights(body: bytes, exact: dict, want: int):
-    """The float64 values of want comma-separated tokens -?(0|[1-9][0-9]*).[0-9]+,
-    bit for bit those of float(), with exact's values at its token offsets;
-    None if body holds anything else."""
-    b = np.frombuffer(body, np.uint8)
+    plain = bytes(plain)
+    b = np.frombuffer(plain, np.uint8)
     size = b.size
     marks = np.flatnonzero((b | 2) == _DOT)  # the dots and the commas: 46 | 2 == 44 | 2
     dots, commas = marks[::2], marks[1::2]
@@ -255,18 +251,10 @@ def _plain_weights(body: bytes, exact: dict, want: int):
         return None  # no digit before or after a dot
     if ((b[dots - whole] == _ZERO) & (whole > 1)).any():
         return None  # a leading zero
-    slow = decimals > _MAX_DECIMALS
-    # a token can overflow uint64 only with more than 19 significant digits;
-    # zeros ahead of them, as in 0.000123, are cheap to count
-    long = np.flatnonzero(whole + decimals > _MAX_DIGITS)
-    if long.size:
-        after = np.minimum(dots[long, None] + 1 + np.arange(_MAX_DECIMALS + 1), size - 1)
-        nonzero = b[after] != _ZERO
-        zeros = np.where(nonzero.any(axis=1), nonzero.argmax(axis=1), _MAX_DECIMALS + 1)
-        lead = np.where(b[dots[long] - whole[long]] == _ZERO, 1 + zeros, 0)  # "0." and zeros
-        slow[long[whole[long] + decimals[long] - lead > _MAX_DIGITS]] = True
+    slow = whole + decimals > _MAX_DIGITS  # more than 19 digits can overflow uint64
+    slow[np.searchsorted(starts, exponents)] = True
     del marks, dots, commas, whole  # freed before the largest temporaries
-    digits = np.fromstring(body.translate(None, b".-"), dtype=np.uint64, sep=",")
+    digits = np.fromstring(plain.translate(None, b".-"), dtype=np.uint64, sep=",")
     quotient = digits.astype(np.longdouble)
     del digits
     np.minimum(decimals, _MAX_DECIMALS, out=decimals)
@@ -279,8 +267,6 @@ def _plain_weights(body: bytes, exact: dict, want: int):
     for k in np.flatnonzero(slow).tolist():
         stop = starts[k + 1] - 1 if k + 1 < want else size
         weights[k] = float(body[starts[k] : stop])
-    if exact:
-        weights[np.searchsorted(starts, list(exact))] = list(exact.values())
     return weights
 
 
@@ -371,9 +357,7 @@ _MANTISSA_SHIFT = 12  # bits << 12 is 0 for 0.0 and for powers of two, whose int
 _FIXED_LOW = int(np.float64(1e-4).view(np.uint64))  # repr writes [1e-4, 1e16) without an exponent
 _FIXED_SPAN = int(np.float64(1e16).view(np.uint64)) - _FIXED_LOW
 _STAND_IN = int(np.float64(1.5).view(np.uint64))  # scaled in place of weights repr() writes
-_NEAR_PLACES = np.array([1.0, 10.0, 100.0, 1000.0])[:, None]  # drop 0 to 3 digits
-_FAR_PLACES = np.array([1e4, 1e5, 1e6, 1e7, 1e8, 1e9])[:, None]  # 9: the weight goes to repr()
-_PLACES = np.array([10**j for j in range(10)])  # _PLACES[count - 1]: the place of the last digit kept
+_PLACES = np.array([1, 10, 100, 1000])  # _PLACES[count - 1]: the place of the last digit kept
 _EXPONENTS = range(-14, 54)  # binary exponents of [1e-4, 1e16)
 # Indexed by 2 * (x's binary exponent - _EXPONENTS[0]) + (1 if |x| reaches
 # the next decade within its binade): k, with |x| * 10**k in [1e16, 1e17);
@@ -415,7 +399,7 @@ def _token_mask(k: int, count: int) -> np.ndarray:
     return np.frombuffer(bytes(mask), np.uint64)
 
 
-_TOKEN_MASK = np.array([[_token_mask(k, c) for c in range(11)] for k in range(21)]).reshape(-1, 5)
+_TOKEN_MASK = np.array([[_token_mask(k, c) for c in range(5)] for k in range(21)]).reshape(-1, 5)
 
 
 def _weight_tokens(weights: np.ndarray) -> str:
@@ -442,19 +426,13 @@ def _token_rows(x: np.ndarray, rows: np.ndarray) -> bytes:
     y = a.astype(np.longdouble)
     y *= _DECADE_SCALE[scale]  # in [1e16, 1e17), within _SCALE_ERROR of |x| * 10**k
     whole = y.astype(np.uint64).view(np.int64)
-    low = (y - (whole - whole % 10**9)).astype(np.float64)  # y mod 10**9, exact
-    half = _HALF_GAP[scale]
-    count, down, unsure = _kept_places(low, half, _NEAR_PLACES)
-    far = np.flatnonzero(count == len(_NEAR_PLACES))
-    if far.size:
-        more, far_down, far_unsure = _kept_places(low[far], half[far], _FAR_PLACES)
-        count[far] += more
-        down[far[more > 0]] = far_down[more > 0]
-        unsure[far] |= far_unsure
+    low = (y - (whole - whole % 10**4)).astype(np.float64)  # y mod 10**4, exact
+    count, down, unsure = _kept_places(low, _HALF_GAP[scale])
     place = _PLACES[count - 1]
     up = place - down
     kept = whole - down.astype(np.int64) + (up < down) * place  # the nearest multiple of place
-    fast &= ~unsure & (np.abs(up - down) > 2 * _SCALE_ERROR) & (count < 10) & (kept < 10**17)
+    fast &= ~unsure & (np.abs(up - down) > 2 * _SCALE_ERROR) & (kept < 10**17)
+    fast &= count < _PLACES.size  # a multiple of every place: fewer than 15 digits
     kept[~fast] = 10**16
     lead = kept // 10**16
     kept -= lead * 10**16
@@ -466,7 +444,7 @@ def _token_rows(x: np.ndarray, rows: np.ndarray) -> bytes:
         top = digits // 10**4
         r[:, word] = _DIGITS4[top]
         r[:, word + 1] = _DIGITS4[digits - top * 10**4]
-    r ^= np.take(_TOKEN_MASK, _DECADE_K[scale] * 11 + count, axis=0)
+    r ^= np.take(_TOKEN_MASK, _DECADE_K[scale] * 5 + count, axis=0)
     slow = np.flatnonzero(~fast)
     if slow.size:
         tokens = b"".join(repr(v).encode().ljust(39, b"\0") + b"," for v in x[slow].tolist())
@@ -474,11 +452,12 @@ def _token_rows(x: np.ndarray, rows: np.ndarray) -> bytes:
     return r.tobytes().translate(None, b"\0")
 
 
-def _kept_places(low: np.ndarray, half: np.ndarray, places: np.ndarray):
-    """For each scaled weight y (given as y mod 10**9): how many of places,
+def _kept_places(low: np.ndarray, half: np.ndarray):
+    """For each scaled weight y (given as y mod 10**4): how many of _PLACES,
     in order, have a multiple strictly inside the weight's rounding interval
     (|multiple - y| < half), the distance down from y to a multiple of the
     last such place, and whether any answer falls within _SCALE_ERROR."""
+    places = _PLACES[:, None]
     down = np.floor(low / places)
     down *= places
     np.subtract(low, down, out=down)  # low mod place, exact

@@ -299,7 +299,6 @@ def calibrate_threshold(
         # One retry: shift the probe target by the measured multiplicative
         # bias between the probe curve and the confirmation estimate.
         candidate = solve(target_gamma * target_gamma / est.mean)
-    raise CalibrationError("calibration failed to converge")
 
 
 @dataclass(frozen=True)

@@ -95,6 +95,18 @@ class TestSimulate:
         assert "sigma must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_sigma_whose_draws_overflow_is_a_usage_error(self, tmp_path, capsys):
+        """sigma = 1e308 used to overflow in the draws, warn, write two lines
+        and stop at t=3; it is refused before any draw."""
+        out = tmp_path / "s.ndjson"
+        args = ["simulate", "--sizes", "2,1", "--nodes", "4", "--sigma", "1e308", "--tau", "2",
+                "--horizon", "6", "--seed", "3", "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 2
+        assert "error: sigma must be finite, nonnegative and at most" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDetect:
     def test_reproduces_the_deterministic_alarm(self, tmp_path, capsys):

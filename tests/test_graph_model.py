@@ -1,6 +1,7 @@
 """Tests for community assignments, indicator matrices, and snapshot streams."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -163,6 +164,16 @@ class TestSampleSnapshot:
         with pytest.raises(ValueError):
             sample_snapshot(np.zeros((2, 2)), 1.0, "upper", rng_from_key(0))
 
+    def test_sigma_stops_where_draws_could_overflow(self):
+        """numpy's normals stay below 13.7 in size, so sigma up to float max
+        / 16 draws finite weights, and one ulp more is refused."""
+        top = sys.float_info.max / 16
+        for convention in (SYMMETRIC, IID_FULL):
+            snap = sample_snapshot(np.ones((3, 3)), top, convention, rng_from_key(3))
+            assert np.isfinite(snap.weights).all()
+        with pytest.raises(ValueError, match="at most"):
+            sample_snapshot(np.zeros((2, 2)), math.nextafter(top, math.inf), SYMMETRIC, rng_from_key(0))
+
     def test_rejects_nonsquare_mean(self):
         with pytest.raises(ValueError):
             sample_snapshot(np.zeros((2, 3)), 1.0, SYMMETRIC, rng_from_key(0))
@@ -249,6 +260,8 @@ class TestStream:
         for sigma in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
                 self.scenario(sigma=sigma)
+        with pytest.raises(ValueError, match="at most"):
+            self.scenario(sigma=1e308)
         with pytest.raises(ValueError):
             self.scenario(tau=-1)
         with pytest.raises(ValueError):

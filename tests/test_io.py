@@ -6,6 +6,7 @@ import io
 import json
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -370,6 +371,42 @@ class TestCanonicalReader:
             with reader, pytest.raises(StreamFormatError, match=message):
                 read_stream(io.StringIO(text))
 
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_up_to_64_exponent_tokens_are_read_by_float(self, extra):
+        """64 tokens with an exponent, the first, a middle and the last among
+        them, are read here; a 65th sends the line to json, which reads the
+        same snapshot."""
+        want = 12 * 13 // 2
+        rng = np.random.default_rng(8)
+        tokens = [repr(v) for v in rng.standard_normal(want).tolist()]
+        spots = [0, want - 1, *range(want // 2 - 31, want // 2 + 31 + extra)]
+        for i in spots:
+            tokens[i] = f"{rng.integers(1, 10)}.{rng.integers(0, 10**6)}e{rng.integers(-300, 300):+d}"
+        assert sum("e" in tok for tok in tokens) == 64 + extra
+        line = f'{{"t":1,"n":12,"tri":[{",".join(tokens)}]}}\n'
+        canonical = stream_io._read_canonical(line)
+        if extra:
+            assert canonical is None
+        else:
+            assert [bits(w) for w in canonical[3]] == [bits(float(tok)) for tok in tokens]
+        with json_only():
+            expected = outcome(line)
+        assert outcome(line) == expected
+
+    @pytest.mark.parametrize("turn", range(6))
+    def test_a_line_of_slow_tokens_reads_as_float_of_each(self, turn):
+        """Exponent, long and float64-midpoint tokens side by side, each in
+        turn the first and the last token of the line."""
+        tokens = ["1e-05", "12345678901234567890.5", "1.700356855955824309",
+                  "-2.5E-300", "0.00012345678901234567", "-1.700356855955824309"]
+        tokens = tokens[turn:] + tokens[:turn]
+        line = f'{{"t":1,"n":3,"tri":[{",".join(tokens)}]}}\n'
+        weights = stream_io._read_canonical(line)[3]
+        assert [bits(w) for w in weights] == [bits(float(tok)) for tok in tokens]
+        with json_only():
+            expected = outcome(line)
+        assert outcome(line) == expected
+
     @pytest.mark.parametrize("token, value", [("1", 1.0), ("-0", 0.0), ("7", 7.0)])
     def test_integer_tokens_take_the_json_path(self, token, value):
         line = f'{{"t":1,"n":1,"tri":[{token}]}}\n'
@@ -502,6 +539,21 @@ class TestFastWriter:
         x = rng.standard_normal(size) * 10.0 ** rng.integers(-7, 18, size)
         assert stream_io._weight_tokens(x) == json_tokens(x)
 
+    @pytest.mark.parametrize("digits", [13, 14, 15, 16, 17])
+    def test_reprs_of_13_to_17_digits_over_the_decades(self, digits):
+        """A weight whose repr has 14 digits or fewer goes to repr(); 15 to 17
+        are the writer's own. Each decade of the fixed range, with both signs."""
+        rng = np.random.default_rng(digits)
+        values = [
+            float(f"{m}e{decade - digits + 1}")
+            for decade in range(-4, 16)
+            for m in rng.integers(10 ** (digits - 1), 10**digits, 60).tolist()
+        ]
+        values = [x for x in values if len(Decimal(repr(x)).normalize().as_tuple().digits) == digits]
+        assert len(values) > 250
+        x = np.array(values + [-v for v in values])
+        assert stream_io._weight_tokens(x) == json_tokens(x)
+
     def test_other_dtypes_go_to_json(self):
         snap = GraphSnapshot(t=1, weights=np.array([[1, 2], [2, 3]]))
         buf = io.StringIO()
@@ -527,6 +579,18 @@ class TestNonFiniteWrites:
         buf = io.StringIO()
         with pytest.raises(ValueError, match="snapshot t=2: a stream file cannot hold a non-finite weight"):
             write_stream([snaps[0], GraphSnapshot(t=2, weights=weights), snaps[2]], buf)
+        assert buf.getvalue().count("\n") == 1
+        assert read_stream(io.StringIO(buf.getvalue()))[0].t == 1
+
+    @pytest.mark.parametrize("dtype", [bool, complex])
+    def test_a_weight_that_is_not_real_stops_before_its_line(self, dtype):
+        """Booleans were written as true and false, which the reader refuses,
+        and complex weights raised TypeError partway through the stream."""
+        snaps = make_stream(scenario())
+        buf = io.StringIO()
+        message = f"snapshot t=2: a stream file holds real numbers, not {np.dtype(dtype)} weights"
+        with pytest.raises(ValueError, match=message):
+            write_stream([snaps[0], GraphSnapshot(t=2, weights=np.eye(3, dtype=dtype)), snaps[2]], buf)
         assert buf.getvalue().count("\n") == 1
         assert read_stream(io.StringIO(buf.getvalue()))[0].t == 1
 
