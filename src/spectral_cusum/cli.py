@@ -271,8 +271,8 @@ def _build_plan(values: dict, flag: str, *targets: float) -> McPlan:
     """No-change Monte Carlo plan for calibrating to the largest of the
     target run lengths, which the option named by flag gave.
 
-    The cap defaults to 20x that target; the detector's b is a warm start
-    that calibration replaces.
+    The cap defaults to 20x that target. calibrate_threshold never reads
+    the detector's b (it starts at ln gamma), so b only has to be positive.
     """
     if not all(math.isfinite(g) for g in targets):
         raise UsageError(f"{flag} must be finite, got {', '.join(map(str, targets))}")

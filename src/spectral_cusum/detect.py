@@ -42,26 +42,14 @@ TOP1 = "top1"
 METHODS = (EXACT, SPECTRAL, TOP1)
 
 
-def log_likelihood_ratio(g: GraphSnapshot, a: IndicatorMatrix, sigma: float) -> float:
-    """exact_increment / (2 sigma^2): the Gaussian log-likelihood ratio of
-    post- vs pre-change for one iid-full snapshot.
-
-    For a symmetric snapshot the true ratio counts each off-diagonal pair
-    once; this value counts it twice.
-    """
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return exact_increment(g, a) / (2.0 * sigma * sigma)
-
-
 def exact_increment(g: GraphSnapshot, a: IndicatorMatrix) -> float:
     """Scaled likelihood increment 2 tr(G AA^T) - tr((AA^T)^2).
 
-    Equals 2 sigma^2 times log_likelihood_ratio; being sigma-free it is the
-    form the exact detector accumulates, and it is the exact detector's
-    first increment on the one-snapshot stream [g], so a non-finite value
-    raises NumericalError. That ratio is the true one for iid-full snapshots
-    only: under the symmetric convention each off-diagonal pair counts twice.
+    Being sigma-free it is the form the exact detector accumulates, and it
+    is the exact detector's first increment on the one-snapshot stream [g],
+    so a non-finite value raises NumericalError. It is 2 sigma^2 times the
+    Gaussian log-likelihood ratio for iid-full snapshots only: under the
+    symmetric convention each off-diagonal pair counts twice.
     With M = AA^T, the increment before the change is then
     N(-||M||_F^2, 4 sigma^2 (sum_i M_ii^2 + 4 sum_{i<j} M_ij^2)).
     """

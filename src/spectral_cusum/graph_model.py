@@ -140,6 +140,8 @@ def sample_snapshot(
     Under the "symmetric" convention the upper triangle (diagonal included)
     is drawn independently and mirrored, so G = G^T holds bit-exactly. Under
     "iid-full" all n^2 entries are drawn independently and no symmetry holds.
+    A mean that is not finite, or so large that a draw 16 sigma from it
+    could overflow (see _check_sigma), is refused before drawing.
     """
     _check_sigma(sigma)
     if convention not in CONVENTIONS:
@@ -147,6 +149,9 @@ def sample_snapshot(
     mean = np.asarray(mean, dtype=float)
     if mean.ndim != 2 or mean.shape[0] != mean.shape[1]:
         raise ValueError("mean must be a square matrix")
+    peak = float(np.abs(mean).max(initial=0.0)) if np.isfinite(mean).all() else np.inf
+    if peak + 16.0 * sigma > sys.float_info.max:
+        raise ValueError("mean must be finite, with its largest magnitude plus 16 sigma finite")
     return GraphSnapshot(t=t, weights=_draw_block([(mean, 1)], sigma, convention, rng)[0])
 
 

@@ -19,7 +19,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .detect import EXACT, SPECTRAL, DetectorConfig, iter_statistic, run_detector
+from .detect import EXACT, SPECTRAL, DetectorConfig, run_detector
 from .graph_model import (
     _CACHE_MAXSIZE,
     IID_FULL,
@@ -32,6 +32,7 @@ from .graph_model import (
     mean_matrix,
     rng_from_key,
 )
+from .spectral import NumericalError
 from .theory import ValidityError, drift_for_delta
 
 _CHUNK = 512
@@ -45,7 +46,8 @@ class McPlan:
     The scenario's own seed is a template field: replication i draws from the
     generator keyed by (master_seed, i) instead. cap bounds the steps of one
     replication; runs that reach it without alarming are reported as truncated,
-    never averaged in as if they had alarmed at cap.
+    never averaged in as if they had alarmed at cap. An exact detector must
+    have the scenario's AA^T: the engine simulates the scenario's oracle.
     """
 
     scenario: StreamScenario
@@ -61,6 +63,10 @@ class McPlan:
             raise ValueError("cap must be at least 1")
         if self.cap <= self.detector.lag:
             raise ValueError("cap must exceed the window length")
+        if self.detector.method == EXACT and not np.array_equal(
+            mean_matrix(self.detector.A), mean_matrix(build_indicator(self.scenario.assignment))
+        ):
+            raise ValueError("the exact detector's AA^T differs from the scenario's")
 
 
 @dataclass(frozen=True)
@@ -122,7 +128,8 @@ def _rep_path(plan: McPlan, rep: int) -> np.ndarray:
     rows, then as many rows again as it has drawn so far, up to _CHUNK rows
     a piece. It steps the detector's clamped recursion max(S, 0) + z over
     each piece and stops at the first crossing of b, so a path that stops
-    at entry k draws at most max(_FIRST_PIECE, 2(k + 1)) rows.
+    at entry k draws at most max(_FIRST_PIECE, 2(k + 1)) rows. A non-finite
+    increment before the crossing raises NumericalError, as in the detector.
     """
     rng = rng_from_key(plan.master_seed, rep)
     if plan.detector.method != EXACT:
@@ -140,13 +147,17 @@ def _rep_path(plan: McPlan, rep: int) -> np.ndarray:
         draws = rng.standard_normal((k, coef.size))
         t = np.arange(pos + 1, pos + k + 1)
         base = 0.0 if sc.tau is None else np.where(t > sc.tau, offset, 0.0)
-        incs = 2.0 * (base + sc.sigma * (draws @ coef)) - offset
-        for inc in incs.tolist():
+        with np.errstate(over="ignore", invalid="ignore"):
+            incs = 2.0 * (base + sc.sigma * (draws @ coef)) - offset
+        bad = np.flatnonzero(~np.isfinite(incs))
+        for inc in incs[: bad[0] if bad.size else k].tolist():
             # detect.cusum_update, inlined: this loop is the engine's hot path
             statistic = (statistic if statistic > 0.0 else 0.0) + inc
             path.append(statistic)
             if statistic >= b:
                 return np.array(path)
+        if bad.size:
+            raise NumericalError(f"non-finite increment {incs[bad[0]]} at t={pos + bad[0] + 1}")
         pos += k
     return np.array(path)
 
@@ -346,18 +357,14 @@ def _first_increments(
 ) -> list[float]:
     """First increment of the windowed statistic in each replication.
 
-    Replication i draws from key (master_seed, 2i + offset) one scored
-    snapshot and the window of cfg.w snapshots strictly after it, so the
-    snapshot is independent of its projector, and scores it with
-    iter_statistic: the increment is tr(G P) - cfg.d.
+    Replication i is _rep_path on key (master_seed, 2i + offset) at cap
+    cfg.w + 1: one scored snapshot and the window of cfg.w snapshots
+    strictly after it, so the snapshot is independent of its projector. The
+    path's one entry is S_1 = 0 + z_1, the increment tr(G P) - cfg.d.
     """
-    sc = replace(scenario, horizon=cfg.w + 1)
-    incs = []
-    for i in range(replications):
-        rng = rng_from_key(master_seed, 2 * i + offset)
-        _, inc, _ = next(iter_statistic(iter_stream(sc, rng=rng), cfg))
-        incs.append(inc)
-    return incs
+    plan = McPlan(scenario, cfg, replications, cap=cfg.w + 1, master_seed=master_seed)
+    reps = range(offset, offset + 2 * replications, 2)
+    return [path[0] for path in _map_reps(_rep_path, plan, reps, 1)]
 
 
 def estimate_drift_mc(
@@ -370,8 +377,6 @@ def estimate_drift_mc(
     is the first increment plus the drift d. The scenario's tau is replaced
     internally (no change for the pre phase, immediate change for post).
     """
-    if replications < 1:
-        raise ValueError("need at least one replication")
     cfg = DetectorConfig(method=SPECTRAL, b=math.inf, m=m, w=w)
 
     def phase(tau, offset: int) -> McEstimate:

@@ -174,6 +174,30 @@ class TestSampleSnapshot:
         with pytest.raises(ValueError, match="at most"):
             sample_snapshot(np.zeros((2, 2)), math.nextafter(top, math.inf), SYMMETRIC, rng_from_key(0))
 
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    def test_rejects_a_mean_whose_draws_could_overflow(self, convention):
+        """sigma = 1e307 is inside its bound, but a mean of 1.7e308 leaves no
+        room for 16 sigma: the draw's addition overflowed with a warning."""
+        big = np.full((2, 2), 1.7e308)
+        with pytest.raises(ValueError, match="16 sigma"):
+            sample_snapshot(big, 1e307, convention, rng_from_key(0))
+        with pytest.raises(ValueError, match="16 sigma"):
+            sample_snapshot(-big, 1e307, convention, rng_from_key(0))
+        room = sys.float_info.max - 16 * 1e307
+        snap = sample_snapshot(np.full((2, 2), room), 1e307, convention, rng_from_key(0))
+        assert np.isfinite(snap.weights).all()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_mean(self, bad):
+        """A NaN entry used to come back as a NaN weight."""
+        mean = np.zeros((3, 3))
+        mean[1, 2] = bad
+        for convention in (SYMMETRIC, IID_FULL):
+            with pytest.raises(ValueError, match="finite"):
+                sample_snapshot(mean, 1.0, convention, rng_from_key(0))
+            with pytest.raises(ValueError, match="finite"):
+                sample_snapshot(mean, 0.0, convention, rng_from_key(0))
+
     def test_rejects_nonsquare_mean(self):
         with pytest.raises(ValueError):
             sample_snapshot(np.zeros((2, 3)), 1.0, SYMMETRIC, rng_from_key(0))

@@ -11,6 +11,7 @@ That is what makes the remaining statistical tests meaningful.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -25,8 +26,10 @@ from spectral_cusum import (
     SYMMETRIC,
     TOP1,
     CalibrationError,
+    CommunityAssignment,
     DetectorConfig,
     McPlan,
+    NumericalError,
     StreamScenario,
     ValidityError,
     WindowBuffer,
@@ -76,6 +79,29 @@ class TestPlanValidation:
         det = DetectorConfig(method=SPECTRAL, b=2.0, m=2, w=10, d=1.0)
         with pytest.raises(ValueError):
             McPlan(h0_scenario(), det, replications=10, cap=10)
+
+    def test_rejects_an_exact_detector_for_another_oracle(self):
+        """The engine draws the scenario's increments whatever A says: with
+        A from sizes (4,) against a (2, 1) scenario on 4 nodes it reported
+        EDD 6.84 at b = 30 over 200 replications, where the detector itself
+        alarmed in only 54 of them within the cap of 50."""
+        sc = h0_scenario(assignment=assignment_from_sizes((2, 1), n=4), tau=0)
+        det = DetectorConfig(method=EXACT, b=30.0, A=build_indicator(assignment_from_sizes((4,))))
+        with pytest.raises(ValueError, match=r"AA\^T differs from the scenario's"):
+            McPlan(sc, det, replications=200, cap=50)
+
+    def test_rejects_an_exact_detector_with_another_node_count(self):
+        det = DetectorConfig(
+            method=EXACT, b=4.0, A=build_indicator(assignment_from_sizes((2, 1), n=5))
+        )
+        with pytest.raises(ValueError, match=r"AA\^T differs from the scenario's"):
+            McPlan(h0_scenario(), det, replications=10, cap=100)
+
+    def test_accepts_an_exact_detector_with_relabelled_communities(self):
+        """The check compares AA^T, which does not see community labels."""
+        swapped = CommunityAssignment(n=3, m=2, labels=(2, 2, 1))
+        det = DetectorConfig(method=EXACT, b=4.0, A=build_indicator(swapped))
+        McPlan(h0_scenario(), det, replications=10, cap=100)
 
 
 def block_at_a_time_path(plan, rep):
@@ -213,6 +239,24 @@ class CountingGenerator:
         return getattr(self._rng, name)
 
 
+class PoisonedGenerator:
+    """Delegates to a numpy Generator and sets one row of each 2-D normal
+    draw to +inf."""
+
+    def __init__(self, rng, row):
+        self._rng = rng
+        self._row = row
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        draws = self._rng.standard_normal(size, *args, **kwargs)
+        if isinstance(size, tuple) and len(size) == 2 and size[0] > self._row:
+            draws[self._row] = np.inf
+        return draws
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
 class TestExactEngineDraws:
     @pytest.mark.parametrize("k", [0, 1, 14, 15, 16, 17, 40, 100, 300, 497, 511])
     def test_a_path_crossing_at_entry_k_draws_at_most_twice_its_length(self, monkeypatch, k):
@@ -269,6 +313,36 @@ class TestExactFastPathParity:
             z = slow - np.maximum(np.concatenate(([0.0], slow[:-1])), 0.0)
             tol = 8 * np.finfo(float).eps * np.cumsum(np.abs(z) + offset)
             assert np.all(np.abs(fast - slow) <= tol)
+
+    def test_overflowing_increments_are_refused_like_the_detector(self):
+        """sigma = 1e307 is inside the draws' bound, but tr(G AA^T) overflows.
+        The engine used to alarm at once on +inf increments and clamp -inf
+        ones away, reporting ARL 2.2; like the detector, it now raises,
+        with no overflow warning first."""
+        a = assignment_from_sizes((12, 6))
+        sc = StreamScenario(assignment=a, sigma=1e307, tau=None, horizon=1)
+        det = DetectorConfig(method=EXACT, b=5.0, A=build_indicator(a))
+        plan = McPlan(sc, det, replications=200, cap=100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="non-finite increment"):
+                estimate_arl(plan)
+            stream = iter_stream(sc, rng=rng_from_key(plan.master_seed, 0), horizon=plan.cap)
+            with pytest.raises(NumericalError, match="non-finite increment"):
+                run_detector(stream, det)
+
+    def test_only_a_non_finite_increment_before_the_crossing_is_refused(self, monkeypatch):
+        """Row 5 of each piece's draws is +inf, so increment 6 is not finite.
+        Post-change paths climb about 5 a step: at b = 12 the path crosses
+        before step 6 and stops, as the detector would; at b = inf the
+        engine reaches step 6 and raises."""
+        monkeypatch.setattr(
+            montecarlo, "rng_from_key", lambda seed, stream=0: PoisonedGenerator(rng_from_key(seed, stream), 5)
+        )
+        plan = McPlan(h0_scenario(tau=0), exact_detector(12.0), replications=1, cap=100)
+        assert _rep_path(plan, 0).size < 6
+        with pytest.raises(NumericalError, match="non-finite increment nan at t=6"):
+            _rep_path(with_b(plan, math.inf), 0)
 
 
 class TestArl:
