@@ -142,7 +142,8 @@ def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float,
     Every method scores scale * tr(G K) - offset; config.lag alone tells
     the exact oracle's fixed kernel AA^T from the windowed methods'
     per-step projector, which a WindowProjector made at the first full
-    window computes in arrays this generator alone holds. The generator
+    window computes in arrays this generator alone holds, from a running
+    window sum: each call passes it the scored snapshot, the one that left. The generator
     runs the recursion over the whole stream and never stops at config.b;
     run_detector is its consumer that stops there. Exact scores
     each snapshot on arrival; spectral and top1 score a snapshot once the w
@@ -171,7 +172,7 @@ def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float,
             try:
                 if project is None:
                     project = WindowProjector(g.n, config.m)
-                kernel = project(window).ravel()
+                kernel = project(window, g).ravel()
             except (NumericalError, np.linalg.LinAlgError) as err:
                 raise NumericalError(f"window after t={g.t}: {err}") from err
         # tr(G K) for symmetric K is the entrywise dot; G need not be symmetric

@@ -142,23 +142,27 @@ def _rep_path(plan: McPlan, rep: int) -> np.ndarray:
     path: list[float] = []
     statistic = 0.0
     pos = 0
-    while pos < plan.cap:
-        k = min(max(pos, _FIRST_PIECE), _CHUNK, plan.cap - pos)
-        draws = rng.standard_normal((k, coef.size))
-        t = np.arange(pos + 1, pos + k + 1)
-        base = 0.0 if sc.tau is None else np.where(t > sc.tau, offset, 0.0)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        while pos < plan.cap:
+            k = min(max(pos, _FIRST_PIECE), _CHUNK, plan.cap - pos)
+            draws = rng.standard_normal((k, coef.size))
+            t = np.arange(pos + 1, pos + k + 1)
+            base = 0.0 if sc.tau is None else np.where(t > sc.tau, offset, 0.0)
             incs = 2.0 * (base + sc.sigma * (draws @ coef)) - offset
-        bad = np.flatnonzero(~np.isfinite(incs))
-        for inc in incs[: bad[0] if bad.size else k].tolist():
-            # detect.cusum_update, inlined: this loop is the engine's hot path
-            statistic = (statistic if statistic > 0.0 else 0.0) + inc
-            path.append(statistic)
-            if statistic >= b:
-                return np.array(path)
-        if bad.size:
-            raise NumericalError(f"non-finite increment {incs[bad[0]]} at t={pos + bad[0] + 1}")
-        pos += k
+            # a finite sum clears the piece; the search runs only when it
+            # fails, and finds nothing if finite increments overflowed it
+            bad = k
+            if not math.isfinite(incs.sum()):
+                bad = next(iter(np.flatnonzero(~np.isfinite(incs))), k)
+            for inc in incs[:bad].tolist():
+                # detect.cusum_update, inlined: this loop is the engine's hot path
+                statistic = (statistic if statistic > 0.0 else 0.0) + inc
+                path.append(statistic)
+                if statistic >= b:
+                    return np.array(path)
+            if bad < k:
+                raise NumericalError(f"non-finite increment {incs[bad]} at t={pos + bad + 1}")
+            pos += k
     return np.array(path)
 
 

@@ -8,9 +8,11 @@ detection statistic uses.
 Both ways to that projector solve through one binding, LAPACKE_dsyevr_work
 from the OpenBLAS in numpy's wheel, with np.linalg.eigh as the fallback where
 that library or symbol is missing. WindowProjector is the detector's kernel:
-it sums the window and solves in arrays it keeps from step to step.
-projector(estimate_subspace(buffer, m)) is its slow, obvious twin, built
-from sliding_mean and top_m_eigs, and gives the same bits.
+it keeps a running window sum and solves in arrays it keeps from step to
+step. projector(estimate_subspace(buffer, m)) is its slow, obvious twin,
+built from sliding_mean and top_m_eigs: the kernel gives its bits whenever
+it re-sums the window, and agrees with it within the running sum's
+rounding in between.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import ctypes
 import glob
 import math
 import os
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
@@ -267,17 +270,37 @@ def projector(est: SpectralEstimate) -> np.ndarray:
     return est.eigenvectors @ est.eigenvectors.T
 
 
+# a running update is made only while the largest weights of the window and
+# of the snapshot leaving it add up to at most this: then no running or
+# left-to-right sum of them, nor acc + acc^T, can overflow
+_RUNNING_ROOM = sys.float_info.max / 4
+
+
+def _peak(snap: GraphSnapshot) -> float:
+    """Largest |weight| of a snapshot; NaN if it holds a NaN."""
+    return float(np.abs(snap.weights).max())
+
+
 class WindowProjector:
     """The detector's windowed kernel: the rank-m projector onto the top-m
     eigenspace of a full window's mean, for n-node snapshots, computed in
     arrays held from one call to the next.
 
-    It gives the bits of projector(estimate_subspace(buffer, m)) with less
-    work. The window is summed left to right into a kept buffer, as in
-    sliding_mean. The mean (acc + acc^T) / (2w) is bit-symmetric by
-    construction, so only its finiteness is checked. The solve is
-    top_m_eigs' binding and fallback, into kept arrays, and no sign is
-    fixed: negating a column is exact, so V V^T does not change.
+    It keeps the window sum from one call to the next: a call told which
+    snapshot left the window adds the one that entered and subtracts the
+    one that left. It re-sums the window left to right, as sliding_mean
+    does, on its first call, on the w-th call after each re-sum, on any
+    call not told what left, and whenever the largest weights of the
+    w + 1 snapshots involved add up past a quarter of the float range,
+    where a sum could overflow (a NaN or infinite weight included). A
+    re-summed call gives the bits of projector(estimate_subspace(buffer,
+    m)); the w - 1 running calls after it carry at most 2(w - 1) more
+    roundings of the window's magnitudes. A NumericalError is decided by
+    the re-sum alone, as in sliding_mean, since a running update is made
+    only where neither sum can overflow. The mean (acc + acc^T) / (2w) is
+    bit-symmetric by construction, so only its finiteness is checked. The
+    solve is top_m_eigs' binding and fallback, into kept arrays, and no
+    sign is fixed: negating a column is exact, so V V^T does not change.
     """
 
     def __init__(self, n: int, m: int):
@@ -286,19 +309,41 @@ class WindowProjector:
         self._acc = np.empty((n, n))
         self._top = np.empty((n, m))
         self._solve = _TopPairs(n, m)
+        # peaks of the snapshot that left and of the window, oldest first,
+        # while calls are told what left; running updates before a re-sum
+        self._peaks: deque[float] = deque()
+        self._runs = 0
 
-    def __call__(self, buffer: WindowBuffer) -> np.ndarray:
-        """Projector for a full buffer of n-node snapshots; a non-finite
-        mean raises NumericalError, a failed solve np.linalg.LinAlgError."""
-        acc, mean = self._acc, self._solve.a
+    def __call__(self, buffer: WindowBuffer, left: GraphSnapshot | None = None) -> np.ndarray:
+        """Projector for a full buffer of n-node snapshots. `left` is the
+        snapshot the buffer's last push evicted, given only when the
+        previous call saw the window before that push. A non-finite mean
+        raises NumericalError, a failed solve np.linalg.LinAlgError."""
+        acc, mean, w = self._acc, self._solve.a, buffer.capacity
         snaps = buffer.snapshots
-        np.copyto(acc, snaps[0].weights)
-        for snap in snaps[1:]:
-            acc += snap.weights
+        peaks = self._peaks
+        if left is None or w == 1:
+            peaks.clear()
+        elif len(peaks) == w + 1:
+            peaks.append(_peak(snaps[-1]))
+        else:
+            self._peaks = peaks = deque(map(_peak, (left, *snaps)), maxlen=w + 1)
+        running = left is not None and self._runs > 0 and sum(peaks) <= _RUNNING_ROOM
+        if running:
+            acc += snaps[-1].weights
+            acc -= left.weights
+            self._runs -= 1
+        else:
+            np.copyto(acc, snaps[0].weights)
+            for snap in snaps[1:]:
+                acc += snap.weights
         np.add(acc, acc.T, out=mean)
-        mean /= 2.0 * buffer.capacity
-        if not np.isfinite(mean).all():
-            raise NumericalError(_NON_FINITE)
+        mean /= 2.0 * w
+        if not running:
+            self._runs = 0
+            if not np.isfinite(mean).all():
+                raise NumericalError(_NON_FINITE)
+            self._runs = w - 1
         _, vecs = self._solve()
         top = self._top
         np.copyto(top, vecs[:, ::-1])

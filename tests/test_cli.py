@@ -9,11 +9,12 @@ import csv
 import io
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spectral_cusum import (
@@ -26,6 +27,7 @@ from spectral_cusum import (
     assignment_from_sizes,
     build_indicator,
     iter_stream,
+    parse_config,
     read_stream,
     run_detector,
     write_stream,
@@ -733,3 +735,105 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "simulate" in capsys.readouterr().out
+
+
+def small_stream_bytes():
+    """Five n = 4 snapshots, sizes (2, 1), change at 2, as simulate writes them."""
+    sc = StreamScenario(assignment=assignment_from_sizes((2, 1), n=4), sigma=1.0, tau=2, horizon=5, seed=1)
+    buf = io.StringIO()
+    write_stream(iter_stream(sc), buf)
+    return buf.getvalue().encode()
+
+
+SMALL_CSV = b"a,b,c\n0.5,1,2\n1.5,-1,0\n2,3,1e-3\n4,0.25,-2\n"
+DETECT_CONFIG = b"method = spectral\nm = 1\nwindow = 2\nb = 5\n"
+THEORY_CONFIG = b"sizes = 2,1\nsigma = 1\ngamma = 50\n"
+# tokens a byte-level mutation rarely builds by itself
+TOKENS = [b"1e308", b"-1e308", b"NaN", b"Infinity", b"-0", b"\n", b"\r\n", b"\xff", b'"', b",", b"[", b"]", b"="]
+
+
+@st.composite
+def mutations(draw, base):
+    """base after one to four edits: insert bytes or a token, delete a run,
+    replace a byte, or copy a slice of the input elsewhere."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(data)))
+        kind = draw(st.sampled_from(["insert", "token", "delete", "replace", "copy"]))
+        if kind == "insert":
+            data[at:at] = draw(st.binary(min_size=1, max_size=8))
+        elif kind == "token":
+            data[at:at] = draw(st.sampled_from(TOKENS))
+        elif kind == "delete":
+            del data[at : at + draw(st.integers(1, 16))]
+        elif kind == "replace":
+            data[at : at + 1] = draw(st.binary(min_size=1, max_size=1))
+        else:
+            start = draw(st.integers(0, len(data)))
+            data[at:at] = data[start : start + draw(st.integers(1, 32))]
+    return bytes(data)
+
+
+def raw_inputs(base):
+    return st.one_of(mutations(base), st.binary(max_size=200))
+
+
+def run_main(argv):
+    """(exit code, stderr) of main(argv); stdout and xcorr's warning about a
+    zero-variance channel are dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "segment .* zero-variance", UserWarning)
+            code = main(argv)
+    return code, err.getvalue()
+
+
+class TestCliFuzz:
+    """Raw bytes run through main as a stream, a sensor CSV or a config file
+    end in a documented exit code, never in an exception out of main."""
+
+    @given(data=raw_inputs(small_stream_bytes()))
+    @settings(max_examples=60, deadline=None)
+    def test_detect_exits_zero_or_three(self, tmp_path_factory, data):
+        """Exact may also exit 2, but only to say the stream's node count
+        is not the indicator's."""
+        tmp = tmp_path_factory.mktemp("fuzz")
+        path = tmp / "s.ndjson"
+        path.write_bytes(data)
+        common = [str(path), "--b", "5", "--out", str(tmp / "trace.csv")]
+        for flags in (["--method", "spectral", "--m", "1", "--window", "2"],
+                      ["--method", "top1", "--window", "2"]):
+            assert run_main(["detect", *common, *flags])[0] in (0, 3)
+        code, err = run_main(["detect", *common, "--method", "exact", "--sizes", "2,1", "--nodes", "4"])
+        assert code in (0, 3) or (code == 2 and "must match the stream" in err)
+
+    @given(data=raw_inputs(SMALL_CSV))
+    @settings(max_examples=60, deadline=None)
+    def test_xcorr_exits_zero_or_three(self, tmp_path_factory, data):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "sensors.csv").write_bytes(data)
+        argv = ["xcorr", str(tmp / "sensors.csv"), "--segment", "2", "--out", str(tmp / "s.ndjson")]
+        assert run_main(argv)[0] in (0, 3)
+
+    @given(data=st.one_of(raw_inputs(DETECT_CONFIG), raw_inputs(THEORY_CONFIG)))
+    @settings(max_examples=80, deadline=None)
+    def test_config_files_exit_zero_two_or_three(self, tmp_path_factory, data):
+        """Each config runs in a fresh directory. One that names out, which
+        would write where it says, is skipped, and so is one whose sizes
+        and nodes, digit runs added up, exceed 200: nothing bounds n, and
+        `theory` builds a label per node and the exact detector an n x n
+        AA^T, so a few fuzzed digits could ask for gigabytes."""
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "run.cfg").write_bytes(data)
+        (tmp / "s.ndjson").write_bytes(small_stream_bytes())
+        try:
+            values = parse_config(tmp / "run.cfg")
+        except ValueError:
+            values = {}
+        nodes = values.get("sizes", "") + "," + values.get("nodes", "")
+        assume("out" not in values)
+        assume(sum(map(int, re.findall(r"\d+", nodes.replace("_", "")))) <= 200)
+        with contextlib.chdir(tmp):
+            for argv in (["detect", "s.ndjson"], ["theory"]):
+                assert run_main([*argv, "--config", "run.cfg"])[0] in (0, 2, 3)

@@ -9,7 +9,9 @@ bits on purpose regenerates this platform's entries with
 
     PYTHONPATH=src python tests/test_golden.py
 
-in the same commit, and says which values moved and why.
+in the same commit, and says which values moved and why. The script prints
+each entry whose value moved (name: old -> new) and the count that kept
+theirs.
 """
 
 import hashlib
@@ -162,6 +164,18 @@ def test_every_entry_has_a_case():
 
 if __name__ == "__main__":
     here = platform()
-    kept = [e for e in load() if {k: e[k] for k in here} != here] if GOLDEN.exists() else []
+    kept, pinned = [], {}
+    for e in load() if GOLDEN.exists() else []:
+        if {k: e[k] for k in here} == here:
+            pinned[e["name"]] = e["value"]
+        else:
+            kept.append(e)
     fresh = [{"name": name, **here, "value": CASES[name]()} for name in sorted(CASES)]
+    same = 0
+    for e in fresh:
+        if e["name"] in pinned and pinned[e["name"]] == e["value"]:
+            same += 1
+        else:
+            print(f"{e['name']}: {pinned.get(e['name'])} -> {e['value']}")
+    print(f"{same} entries kept their value")
     GOLDEN.write_text(json.dumps({"entries": kept + fresh}, indent=1) + "\n")

@@ -11,6 +11,7 @@ That is what makes the remaining statistical tests meaningful.
 """
 
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -343,6 +344,24 @@ class TestExactFastPathParity:
         assert _rep_path(plan, 0).size < 6
         with pytest.raises(NumericalError, match="non-finite increment nan at t=6"):
             _rep_path(with_b(plan, math.inf), 0)
+
+    def test_finite_increments_whose_piece_sum_overflows_are_scored(self, monkeypatch):
+        """Every draw is -1e307, so every increment is about -1e308, finite,
+        but each piece's sum overflows to -inf: the index search finds no
+        non-finite increment and the path runs on to the cap, with no
+        overflow warning."""
+
+        class Constant:
+            def standard_normal(self, size):
+                return np.full(size, -1e307)
+
+        monkeypatch.setattr(montecarlo, "rng_from_key", lambda seed, stream=0: Constant())
+        plan = McPlan(h0_scenario(), exact_detector(math.inf), replications=1, cap=40)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            path = _rep_path(plan, 0)
+        assert path.size == 40 and np.isfinite(path).all() and (path == path[0]).all()
+        assert abs(float(path[0])) > sys.float_info.max / 16
 
 
 class TestArl:

@@ -359,12 +359,83 @@ class TestSubspace:
         assert hits >= 190
 
 
+def check_against_twin(snaps, n, m, w):
+    """Drive a WindowProjector over a rolling buffer of snaps as
+    iter_statistic does: from the first eviction on, told what left.
+
+    On its first call and every w-th call after it the kernel must give
+    projector(estimate_subspace(buf, m)) bit for bit. In between, the two
+    may differ by at most (64 n + 4 w) eps max(1, S) / gap in Frobenius
+    norm, where S is the largest ||M||_F of the window means since the last
+    such call and gap is lambda_m - lambda_{m+1} of this window's mean M:
+    the solver tests' Davis-Kahan form, with 4 w eps for the running sum's
+    roundings. Returns, per call, whether the two agreed bit for bit.
+    """
+    eps = np.finfo(float).eps
+    project, buf = WindowProjector(n, m), WindowBuffer(w)
+    same = []
+    for s in snaps:
+        left = buf.push(s)
+        if left is None:
+            continue
+        got = project(buf, left)
+        want = projector(estimate_subspace(buf, m))
+        mean = sliding_mean(buf)
+        if len(same) % w == 0:
+            assert np.array_equal(got, want)
+            scale = max(1.0, float(np.linalg.norm(mean)))
+        else:
+            scale = max(scale, float(np.linalg.norm(mean)))
+            every = np.linalg.eigvalsh(mean)[::-1]
+            gap = scale if m == n else float(every[m - 1] - every[m])
+            if gap > 1e-6 * scale:
+                tol = (64 * n + 4 * w) * eps * scale
+                assert float(np.linalg.norm(got - want)) <= tol / gap
+        same.append(bool(np.array_equal(got, want)))
+    return same
+
+
+def noisy_block_stream(n, convention, key, horizon):
+    mean = 2.0 * mean_matrix(build_indicator(assignment_from_sizes((4, 3, 2), n=n)))
+    rng = rng_from_key(*key)
+    return [sample_snapshot(mean, 0.8, convention, rng, t=t) for t in range(1, horizon + 1)]
+
+
 @pytest.mark.usefixtures("solver")
 class TestWindowProjector:
     @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
     @pytest.mark.parametrize("m", [1, 2, 8, 12])
+    @pytest.mark.parametrize("w", [1, 4])
+    def test_running_sum_tracks_the_slow_twin(self, convention, m, w):
+        """check_against_twin's bounds on a noisy stream at n = 12. At
+        w = 1 every call is a re-sum, so every call is bit for bit; at
+        w = 4 the running calls differ from the twin in their last bits."""
+        snaps = noisy_block_stream(12, convention, (61, 10 * m + w), 30)
+        same = check_against_twin(snaps, 12, m, w)
+        assert len(same) == 30 - w
+        assert all(same) == (w == 1)
+
+    def test_a_spike_that_left_is_gone_at_the_next_re_sum(self):
+        """A 1e12 weight enters a window of unit-scale snapshots at call 8
+        and leaves it at call 13, between the re-sums at calls 11 and 16
+        (w = 5). After it leaves, the running sum still carries roundings
+        of its scale, within check_against_twin's bound for the windows
+        since call 11; from call 16 the kernel gives the twin's bits."""
+        n, m, w = 12, 2, 5
+        snaps = noisy_block_stream(n, SYMMETRIC, (62,), 30)
+        spiked = snaps[12].weights.copy()
+        spiked[0, 1] += 1e12
+        spiked[1, 0] += 1e12
+        snaps[12] = GraphSnapshot(t=13, weights=spiked)
+        same = check_against_twin(snaps, n, m, w)
+        assert not same[12]
+        assert same[15]
+
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    @pytest.mark.parametrize("m", [1, 2, 8, 12])
     def test_matches_the_slow_twin_bit_for_bit(self, convention, m):
-        """projector(estimate_subspace(buf, m)) on every window of a rolling
+        """Not told what left, the kernel re-sums every window, so it gives
+        projector(estimate_subspace(buf, m)) on every window of a rolling
         buffer, at m = n = 12 and at m = 8, where numpy 2.4.6's column-view
         negation broke the sign fix the kernel no longer makes."""
         n, w = 12, 4
