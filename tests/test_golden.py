@@ -75,6 +75,14 @@ def criterion_07_b50():
     return calibrate_threshold(McPlan(sc, det, replications=2000, cap=5000), 50.0)
 
 
+def calibrate_spectral_upward():
+    """A windowed calibration whose search doubles past ln gamma = 3.0."""
+    asg = assignment_from_sizes((2, 1))
+    sc = StreamScenario(assignment=asg, sigma=1.0, tau=None, horizon=1, convention=SYMMETRIC)
+    det = DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=3, d=0.2)
+    return calibrate_threshold(McPlan(sc, det, replications=60, cap=200, master_seed=5), 20.0, 0.2)
+
+
 def drift_mc():
     sc = StreamScenario(
         assignment=assignment_from_sizes((12, 6), n=20), sigma=1.0, tau=None, horizon=1
@@ -126,6 +134,7 @@ CASES = {
     "oc_exact_n20": lambda: oc_row(EXACT, (2, 1), 50.0, 200),
     "oc_spectral_n20": lambda: oc_row(SPECTRAL, (6, 3), 20.0, 60),
     "criterion_07_b50": criterion_07_b50,
+    "calibrate_spectral_upward": calibrate_spectral_upward,
     "equalizer_mc": lambda: verify_equalizer_mc(10, 2, 30, 0.5, 0.5, 300, master_seed=3),
     "drift_mc": drift_mc,
     **{
