@@ -36,7 +36,7 @@ from .spectral import NumericalError
 from .theory import ValidityError, drift_for_delta
 
 _CHUNK = 512
-_FIRST_PIECE = 16
+_PIECE = 16
 
 
 @dataclass(frozen=True)
@@ -116,54 +116,98 @@ def _exact_coefficients(assignment: CommunityAssignment, convention: str):
     return coef, offset
 
 
+class _OraclePath:
+    """One replication of the exact detector's Monte Carlo engine, resumable.
+
+    extend(b) steps the detector's clamped recursion max(S, 0) + z from
+    where the path stopped to its first crossing of b, or to the cap, and
+    returns the statistics it stepped as a float64 array; a later extend to
+    a higher threshold carries on from there. Its state is the generator,
+    the statistic, the rows drawn, and the increments of the last piece not
+    yet stepped. A non-finite increment before the crossing raises
+    NumericalError, as in the detector.
+
+    The increments are drawn vectorized, in pieces of _PIECE rows until
+    4 * _PIECE rows are drawn, then a quarter of the rows drawn so far,
+    rounded down to a multiple of _PIECE, never crossing a multiple of
+    _CHUNK. So a path that stops at entry k draws at most
+    k + max(_PIECE, k // 4) rows. Pieces start on multiples of _PIECE
+    inside _CHUNK-row blocks: the bits of draws @ coef depend on where a
+    piece starts, because OpenBLAS's gemv groups rows.
+    """
+
+    __slots__ = (
+        "_scenario", "_coef", "_offset", "_cap", "_rng", "_statistic", "_pos", "_rest", "_bad"
+    )
+
+    def __init__(self, plan: McPlan, rep: int):
+        sc = plan.scenario
+        self._scenario = sc
+        self._coef, self._offset = _exact_coefficients(sc.assignment, sc.convention)
+        self._cap = plan.cap
+        self._rng = rng_from_key(plan.master_seed, rep)
+        self._statistic = 0.0
+        self._pos = 0
+        self._rest = np.empty(0)
+        self._bad = None
+
+    def _draw(self) -> None:
+        sc = self._scenario
+        pos = self._pos
+        k = min(max(_PIECE, pos // (4 * _PIECE) * _PIECE), _CHUNK - pos % _CHUNK, self._cap - pos)
+        draws = self._rng.standard_normal((k, self._coef.size))
+        base = 0.0
+        if sc.tau is not None:
+            base = np.where(np.arange(pos + 1, pos + k + 1) > sc.tau, self._offset, 0.0)
+        incs = 2.0 * (base + sc.sigma * (draws @ self._coef)) - self._offset
+        # a finite sum clears the piece; the search runs only when it fails,
+        # and finds nothing if finite increments overflowed it
+        if not math.isfinite(incs.sum()):
+            bad = np.flatnonzero(~np.isfinite(incs))
+            if bad.size:
+                i = int(bad[0])
+                self._bad = f"non-finite increment {incs[i]} at t={pos + i + 1}"
+                incs = incs[:i]
+        self._pos = pos + k
+        self._rest = incs
+
+    def extend(self, b: float) -> np.ndarray:
+        stepped: list[float] = []
+        statistic = self._statistic
+        with np.errstate(over="ignore", invalid="ignore"):
+            while statistic < b:
+                if not self._rest.size:
+                    if self._bad is not None:
+                        raise NumericalError(self._bad)
+                    if self._pos == self._cap:
+                        break
+                    self._draw()
+                done = len(stepped)
+                for inc in self._rest.tolist():
+                    # detect.cusum_update, inlined: this loop is the engine's hot path
+                    statistic = (statistic if statistic > 0.0 else 0.0) + inc
+                    stepped.append(statistic)
+                    if statistic >= b:
+                        break
+                self._rest = self._rest[len(stepped) - done :]
+        self._statistic = statistic
+        return np.array(stepped)
+
+
 def _rep_path(plan: McPlan, rep: int) -> np.ndarray:
     """Statistic path of one replication, up to and including its first
     crossing of plan.detector.b; at b = +inf, the whole path to cap.
 
-    The exact method runs the vectorized engine; the others run the
-    snapshot-by-snapshot detector. Entry i is the statistic of scored index
-    i + 1, so an alarm on the last entry falls at the path's length plus lag.
-
-    The exact engine draws its increments in growing pieces: _FIRST_PIECE
-    rows, then as many rows again as it has drawn so far, up to _CHUNK rows
-    a piece. It steps the detector's clamped recursion max(S, 0) + z over
-    each piece and stops at the first crossing of b, so a path that stops
-    at entry k draws at most max(_FIRST_PIECE, 2(k + 1)) rows. A non-finite
-    increment before the crossing raises NumericalError, as in the detector.
+    The exact method runs a fresh _OraclePath extended to b; the others run
+    the snapshot-by-snapshot detector. Entry i is the statistic of scored
+    index i + 1, so an alarm on the last entry falls at the path's length
+    plus lag.
     """
-    rng = rng_from_key(plan.master_seed, rep)
-    if plan.detector.method != EXACT:
-        stream = iter_stream(plan.scenario, rng=rng, horizon=plan.cap)
-        result = run_detector(stream, plan.detector)
-        return np.array([s for _, s in result.trajectory])
-    sc = plan.scenario
-    coef, offset = _exact_coefficients(sc.assignment, sc.convention)
-    b = plan.detector.b
-    path: list[float] = []
-    statistic = 0.0
-    pos = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while pos < plan.cap:
-            k = min(max(pos, _FIRST_PIECE), _CHUNK, plan.cap - pos)
-            draws = rng.standard_normal((k, coef.size))
-            t = np.arange(pos + 1, pos + k + 1)
-            base = 0.0 if sc.tau is None else np.where(t > sc.tau, offset, 0.0)
-            incs = 2.0 * (base + sc.sigma * (draws @ coef)) - offset
-            # a finite sum clears the piece; the search runs only when it
-            # fails, and finds nothing if finite increments overflowed it
-            bad = k
-            if not math.isfinite(incs.sum()):
-                bad = next(iter(np.flatnonzero(~np.isfinite(incs))), k)
-            for inc in incs[:bad].tolist():
-                # detect.cusum_update, inlined: this loop is the engine's hot path
-                statistic = (statistic if statistic > 0.0 else 0.0) + inc
-                path.append(statistic)
-                if statistic >= b:
-                    return np.array(path)
-            if bad < k:
-                raise NumericalError(f"non-finite increment {incs[bad]} at t={pos + bad + 1}")
-            pos += k
-    return np.array(path)
+    if plan.detector.method == EXACT:
+        return _OraclePath(plan, rep).extend(plan.detector.b)
+    stream = iter_stream(plan.scenario, rng=rng_from_key(plan.master_seed, rep), horizon=plan.cap)
+    result = run_detector(stream, plan.detector)
+    return np.array([s for _, s in result.trajectory])
 
 
 def _rep_alarm(plan: McPlan, rep: int) -> int | None:
@@ -174,9 +218,13 @@ def _rep_alarm(plan: McPlan, rep: int) -> int | None:
     return None
 
 
-def _map_reps(fn, plan: McPlan, reps: range, workers: int) -> list:
+def _check_workers(workers: int) -> None:
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+
+
+def _map_reps(fn, plan: McPlan, reps: range, workers: int) -> list:
+    _check_workers(workers)
     if workers == 1:
         return [fn(plan, i) for i in reps]
     chunksize = max(1, len(reps) // (workers * 8))
@@ -211,17 +259,27 @@ def calibrate_threshold(
 
     Bisects on the empirically monotone ARL(b), warm-started at ln(gamma);
     the warm start is returned untouched when it already probes within
-    rel_tol. Probes read per-replication running maxima of statistic paths
-    simulated up to a reach r, the highest threshold probed so far: each path
-    stops at its first crossing of r, or at cap if it never crosses. A probe
-    at b <= r is exact, because a stopped path's running max ends at or above
-    b and so first reaches b where the path run to cap would. A probe above r
-    re-simulates the paths at b and makes b the reach; replication i draws
-    only from key (seed, i), in time order, so a path stopped sooner is a
-    prefix of one stopped later. Runs that never reach b count at cap, which
-    keeps the probe curve monotone and conservative. A confirmation pass at
-    double budget with fresh replication ids must land within rel_tol of the
-    target, with fewer than 1% of its runs truncated.
+    rel_tol. A probe at b is the mean over the replications of each one's
+    alarm time at b, or cap for one that never reaches b, which keeps the
+    probe curve monotone and conservative. The search only compares probes
+    with a value, and settles each comparison from bounds on the probe,
+    simulating no more than the comparison needs. Let path i have run l_i
+    steps without crossing b. Every alarm time already known counts in both
+    bounds; an unknown one counts l_i + 1 + lag in the lower bound and cap
+    in the upper. The integer sums are exact and are divided by the
+    replication count as the probe divides, so when both bounds give the
+    same answer the probe gives it too. Otherwise the first undecided
+    replication, in id order, is extended to its first crossing of b (or to
+    cap), and the bounds are checked again. Every comparison, and so the
+    threshold, is the one that paths run to cap give, bit for bit.
+
+    Exact-detector paths are resumed where they stopped (_OraclePath);
+    windowed ones are re-simulated from their key. Replication i draws only
+    from key (seed, i), in time order, so a path stopped sooner is a prefix
+    of one stopped later. This path phase runs in the calling process at
+    any worker count. A confirmation pass at double budget with fresh
+    replication ids, spread over the workers, must land within rel_tol of
+    the target, with fewer than 1% of its runs truncated.
     """
     if not target_gamma >= 10:
         raise ValueError("target run length must be at least 10")
@@ -234,45 +292,91 @@ def calibrate_threshold(
             f"cap {plan.cap} is too small to observe run lengths near "
             f"{target_gamma}: need cap >= 10 * target"
         )
+    _check_workers(workers)
     lag = plan.detector.lag
-    reach = -math.inf
-    runmaxes: list[np.ndarray] = []
+    cap = plan.cap
+    reps = plan.replications
+    # running maxima of the statistics stepped so far; a whole path has
+    # cap - lag entries
+    runmax = [np.empty(0)] * reps
+    if plan.detector.method == EXACT:
+        oracles = [_OraclePath(plan, i) for i in range(reps)]
 
-    def probe(b: float) -> float:
-        nonlocal reach, runmaxes
-        if b > reach:
+        def run(i: int, b: float) -> np.ndarray:
+            return oracles[i].extend(b)
+
+    else:
+        # re-simulated from the key: a windowed path's live state would be
+        # a window of snapshots, about 100 KB a path at n = 20 and w = 10
+        def run(i: int, b: float) -> np.ndarray:
             at_b = replace(plan, detector=replace(plan.detector, b=b))
-            runmaxes = [
-                np.maximum.accumulate(p, out=p)
-                for p in _map_reps(_rep_path, at_b, range(plan.replications), workers)
-            ]
-            reach = b
-        total = 0.0
-        for rm in runmaxes:
-            idx = int(np.searchsorted(rm, b, side="left"))
-            total += idx + 1 + lag if idx < rm.size else plan.cap
-        return total / len(runmaxes)
+            return _rep_path(at_b, i)[runmax[i].size :]
+
+    def alarm_time(i: int, b: float) -> int | None:
+        rm = runmax[i]
+        if rm.size and rm[-1] >= b:
+            return int(np.searchsorted(rm, b)) + 1 + lag
+        return cap if rm.size == cap - lag else None
+
+    def extend(i: int, b: float) -> int:
+        stepped = np.maximum.accumulate(run(i, b))
+        if runmax[i].size:
+            np.maximum(stepped, runmax[i][-1], out=stepped)
+        runmax[i] = np.concatenate((runmax[i], stepped))
+        return alarm_time(i, b)
+
+    def decide(b: float, test) -> bool:
+        """test(probe(b)) for a test monotone in the probe value."""
+        lower = upper = 0
+        pending = []
+        for i in range(reps):
+            t = alarm_time(i, b)
+            if t is None:
+                pending.append(i)
+                lower += runmax[i].size + 1 + lag
+                upper += cap
+            else:
+                lower += t
+                upper += t
+        for i in pending:
+            verdict = test(lower / reps)
+            if verdict == test(upper / reps):
+                return verdict
+            lower -= runmax[i].size + 1 + lag
+            upper -= cap
+            t = extend(i, b)
+            lower += t
+            upper += t
+        return test(lower / reps)
+
+    tol = rel_tol * target_gamma
 
     def within(value: float) -> bool:
-        return abs(value - target_gamma) <= rel_tol * target_gamma
+        return abs(value - target_gamma) <= tol
 
     b0 = math.log(target_gamma)
 
     def solve(tval: float) -> float:
-        """Bisect the cached probe curve to the threshold nearest tval."""
+        """Bisect the probe curve to the threshold nearest tval."""
+
+        def short(value: float) -> bool:
+            return value < tval
+
+        def long(value: float) -> bool:
+            return value > tval
+
         lo = hi = b0
-        value = probe(b0)
-        if value < tval:
+        if decide(b0, short):
             for _ in range(80):
                 lo, hi = hi, hi * 2.0
-                if probe(hi) >= tval:
+                if not decide(hi, short):
                     break
             else:
                 raise CalibrationError("no threshold reaches the target run length")
-        elif value > tval:
+        elif decide(b0, long):
             for _ in range(300):
                 hi, lo = lo, lo / 2.0
-                if probe(lo) <= tval:
+                if not decide(lo, long):
                     break
             else:
                 raise CalibrationError(
@@ -284,13 +388,17 @@ def calibrate_threshold(
             if hi - lo <= 1e-9 * max(1.0, hi):
                 break
             mid = 0.5 * (lo + hi)
-            if probe(mid) < tval:
+            if decide(mid, short):
                 lo = mid
             else:
                 hi = mid
         return 0.5 * (lo + hi)
 
-    candidate = b0 if within(probe(b0)) else solve(target_gamma)
+    # within(v) is -tol <= v - target <= tol: two tests monotone in v
+    near = decide(b0, lambda v: v - target_gamma >= -tol) and decide(
+        b0, lambda v: v - target_gamma <= tol
+    )
+    candidate = b0 if near else solve(target_gamma)
 
     base = plan.replications
     for attempt in range(2):

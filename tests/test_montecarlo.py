@@ -275,6 +275,25 @@ class TestExactEngineDraws:
         assert sum(rows) <= max(16, 2 * (k + 1))
 
 
+    @pytest.mark.parametrize(
+        "k", [0, 1, 14, 15, 16, 17, 40, 100, 300, 497, 511, 63, 64, 127, 128, 512, 1023]
+    )
+    def test_a_path_crossing_at_entry_k_draws_at_most_a_quarter_more(self, monkeypatch, k):
+        """Pieces are 16 rows until 64 are drawn, then a quarter of the rows
+        drawn so far, so the rows past entry k number at most max(16, k // 4)."""
+        rows = []
+        monkeypatch.setattr(
+            montecarlo, "rng_from_key", lambda seed, stream=0: CountingGenerator(rng_from_key(seed, stream), rows)
+        )
+        plan = McPlan(h0_scenario(tau=0), exact_detector(1.0), replications=1, cap=1100)
+        full = [_rep_path(with_b(plan, math.inf), rep) for rep in range(20)]
+        rep = next(r for r, p in enumerate(full) if p[k] > p[:k].max(initial=0.0))
+        rows.clear()
+        stopped = _rep_path(with_b(plan, float(full[rep][k])), rep)
+        assert stopped.size == k + 1
+        assert sum(rows) <= k + max(16, k // 4)
+
+
 class TestExactFastPathParity:
     @pytest.mark.parametrize("convention", ["symmetric", IID_FULL])
     @pytest.mark.parametrize("tau,b", [(None, 4.0), (0, 12.0)])
@@ -569,11 +588,87 @@ class TestCalibrationMatchesTheFullCapTwin:
         for workers in (1, 2):
             assert calibrate_threshold(plan, 20.0, 0.2, workers=workers) == want
 
-    def test_paths_are_resimulated_when_the_search_doubles_past_ln_gamma(self):
+    def test_paths_are_resumed_when_the_search_doubles_past_ln_gamma(self):
         plan = McPlan(h0_scenario(), exact_detector(1.0), replications=100, cap=500)
         want = full_cap_calibrate(plan, 50.0, 0.2)
         assert want > math.log(50.0)
         assert calibrate_threshold(plan, 50.0, 0.2) == want
+
+    def test_each_oracle_generator_is_created_once(self, monkeypatch):
+        """The search doubles past ln gamma and bisects back, yet each
+        replication's generator is created once and its path resumed; the
+        confirmation pass creates its own ids once each."""
+        keys = []
+
+        def counting(seed, stream=0):
+            keys.append(stream)
+            return rng_from_key(seed, stream)
+
+        monkeypatch.setattr(montecarlo, "rng_from_key", counting)
+        plan = McPlan(h0_scenario(), exact_detector(1.0), replications=100, cap=500)
+        assert calibrate_threshold(plan, 50.0, 0.2) > math.log(50.0)
+        path_phase = keys[: keys.index(plan.replications)]
+        assert path_phase == list(range(plan.replications))
+        assert sorted(keys) == list(range(len(keys)))
+
+    @staticmethod
+    def assert_bit_identical(plan, gamma, rel_tol):
+        want = full_cap_calibrate(plan, gamma, rel_tol)
+        for workers in (1, 2):
+            assert calibrate_threshold(plan, gamma, rel_tol, workers=workers) == want
+        return want
+
+    def test_warm_start_returned_early(self):
+        plan = McPlan(h0_scenario(), exact_detector(2.0), replications=500, cap=200)
+        assert self.assert_bit_identical(plan, 10.0, 0.45) == math.log(10.0)
+
+    def test_windowed_upward_search(self):
+        det = DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=3, d=0.2)
+        plan = McPlan(h0_scenario(), det, replications=60, cap=200, master_seed=5)
+        assert self.assert_bit_identical(plan, 20.0, 0.2) > math.log(20.0)
+
+    def test_paths_that_reach_cap_without_crossing(self, monkeypatch):
+        """The doubling search probes 2 ln 20, which one of these paths
+        never reaches: the probe needs it, so it runs to cap and counts at
+        cap. The path phase builds every path before the confirmation pass
+        builds any, so its paths are the first 60 made."""
+        plan = McPlan(h0_scenario(), exact_detector(1.0), replications=60, cap=200, master_seed=1)
+        want = self.assert_bit_identical(plan, 20.0, 0.2)
+        created, capped = [], []
+        init, extend = montecarlo._OraclePath.__init__, montecarlo._OraclePath.extend
+
+        def spy_init(self, plan, rep):
+            created.append(self)
+            init(self, plan, rep)
+
+        def spy_extend(self, b):
+            stepped = extend(self, b)
+            if not stepped[-1] >= b and created.index(self) < plan.replications:
+                capped.append(b)
+            return stepped
+
+        monkeypatch.setattr(montecarlo._OraclePath, "__init__", spy_init)
+        monkeypatch.setattr(montecarlo._OraclePath, "extend", spy_extend)
+        assert calibrate_threshold(plan, 20.0, 0.2) == want
+        assert capped == [2 * math.log(20.0)]
+
+    @pytest.mark.parametrize("method,seed", [(EXACT, 1), (SPECTRAL, 5)])
+    def test_retry_after_a_missed_confirmation(self, monkeypatch, method, seed):
+        starts = []
+        map_reps = montecarlo._map_reps
+
+        def spy(fn, plan, reps, workers):
+            starts.append(reps.start)
+            return map_reps(fn, plan, reps, workers)
+
+        monkeypatch.setattr(montecarlo, "_map_reps", spy)
+        if method == EXACT:
+            det = exact_detector(1.0)
+        else:
+            det = DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=3, d=0.2)
+        plan = McPlan(h0_scenario(), det, replications=40, cap=200, master_seed=seed)
+        self.assert_bit_identical(plan, 20.0, 0.1)
+        assert starts == [40, 120] * 2
 
 
 class TestOcCurve:
