@@ -31,7 +31,6 @@ import numpy as np
 from .graph_model import GraphSnapshot, IndicatorMatrix, mean_matrix
 from .spectral import (
     NumericalError,
-    WindowBuffer,
     WindowProjector,
     estimate_subspace,  # noqa: F401  unused; perfbench's tracer wraps detect.estimate_subspace
 )
@@ -141,45 +140,41 @@ def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float,
 
     Every method scores scale * tr(G K) - offset; config.lag alone tells
     the exact oracle's fixed kernel AA^T from the windowed methods'
-    per-step projector, which a WindowProjector made at the first full
-    window computes in arrays this generator alone holds, from a running
-    window sum: each call passes it the scored snapshot, the one that left. The generator
-    runs the recursion over the whole stream and never stops at config.b;
-    run_detector is its consumer that stops there. Exact scores
-    each snapshot on arrival; spectral and top1 score a snapshot once the w
-    snapshots after it have arrived, so the first w snapshots yield nothing
-    and a stream of at most w snapshots yields nothing at all. A non-finite
-    window mean or increment, or a failed eigensolve, raises NumericalError:
-    it would stop the statistic from alarming. Finite weights can get there
-    by overflowing. The generator sets no numpy error state of its own, so a
-    caller that wants overflow silenced wraps its loop in np.errstate.
+    per-step projector. One WindowProjector, built before the loop, holds
+    the window: each snapshot a push returns is scored against the
+    kernel's projector for the w snapshots after it, so a stream of at most
+    w snapshots yields nothing, and a snapshot of another shape than the
+    window's raises ValueError. Exact scores each snapshot on arrival.
+    The generator runs the recursion over the whole stream and never stops
+    at config.b; run_detector is its consumer that stops there. A
+    non-finite window mean or increment, or a failed eigensolve, raises
+    NumericalError: it would stop the statistic from alarming. Finite
+    weights can get there by overflowing. The generator sets no numpy
+    error state of its own, so a caller that wants overflow silenced wraps
+    its loop in np.errstate.
     """
     lag = config.lag
     if lag:
-        window = WindowBuffer(lag)
-        project = None
+        window = WindowProjector(lag, config.m)
         scale, offset = 1.0, config.d
     else:
         kernel = mean_matrix(config.A).ravel()
         scale, offset = 2.0, float(np.dot(kernel, kernel))
     statistic = 0.0
-    for snap in stream:
-        g = snap
+    for g in stream:
         if lag:
-            g = window.push(snap)
+            g = window.push(g)
             if g is None:
                 continue
             try:
-                if project is None:
-                    project = WindowProjector(g.n, config.m)
-                kernel = project(window, g).ravel()
+                kernel = window().ravel()
             except (NumericalError, np.linalg.LinAlgError) as err:
                 raise NumericalError(f"window after t={g.t}: {err}") from err
         # tr(G K) for symmetric K is the entrywise dot; G need not be symmetric
         try:
             inc = scale * float(np.dot(g.weights.ravel(), kernel)) - offset
         except ValueError:
-            # only the exact kernel can mismatch: WindowBuffer holds one shape
+            # only the exact kernel can mismatch: the window holds one shape
             raise ValueError(
                 f"snapshot t={g.t} has n={g.n} nodes, but the indicator matrix A "
                 f"has {config.A.entries.shape[0]} rows; the community sizes and "

@@ -8,11 +8,11 @@ detection statistic uses.
 Both ways to that projector solve through one binding, LAPACKE_dsyevr_work
 from the OpenBLAS in numpy's wheel, with np.linalg.eigh as the fallback where
 that library or symbol is missing. WindowProjector is the detector's kernel:
-it keeps a running window sum and solves in arrays it keeps from step to
-step. projector(estimate_subspace(buffer, m)) is its slow, obvious twin,
-built from sliding_mean and top_m_eigs: the kernel gives its bits whenever
-it re-sums the window, and agrees with it within the running sum's
-rounding in between.
+it holds the window, keeps a running window sum and solves in arrays it
+keeps from step to step. projector(estimate_subspace(window, m)), over the
+window's snapshots oldest first, is its slow, obvious twin, built from
+sliding_mean and top_m_eigs: the kernel gives its bits whenever it re-sums
+the window, and agrees with it within the running sum's rounding in between.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from typing import Iterable
 
 import numpy as np
 
@@ -79,39 +80,6 @@ class NumericalError(ValueError):
 _NON_FINITE = "matrix has non-finite entries (NaN or infinity)"
 
 
-class WindowBuffer:
-    """FIFO buffer holding the w most recent snapshots for window averaging."""
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ValueError("window capacity must be at least 1")
-        self.capacity = int(capacity)
-        self._snaps: deque[GraphSnapshot] = deque(maxlen=self.capacity)
-
-    def push(self, snapshot: GraphSnapshot) -> GraphSnapshot | None:
-        """Append a snapshot; return the one it evicts from a full buffer, or
-        None while the buffer is still filling."""
-        if self._snaps and snapshot.weights.shape != self._snaps[0].weights.shape:
-            raise ValueError(
-                f"snapshot has shape {snapshot.weights.shape}, "
-                f"buffer holds {self._snaps[0].weights.shape}"
-            )
-        evicted = self._snaps[0] if self.full else None
-        self._snaps.append(snapshot)
-        return evicted
-
-    @property
-    def full(self) -> bool:
-        return len(self._snaps) == self.capacity
-
-    @property
-    def snapshots(self) -> tuple[GraphSnapshot, ...]:
-        return tuple(self._snaps)
-
-    def __len__(self) -> int:
-        return len(self._snaps)
-
-
 @dataclass(frozen=True)
 class SpectralEstimate:
     """Top-m eigenpairs of a window mean: eigenvalues descending, columns of
@@ -121,26 +89,21 @@ class SpectralEstimate:
     eigenvectors: np.ndarray
 
 
-def sliding_mean(buffer: WindowBuffer) -> np.ndarray:
-    """Entrywise mean of a full window, symmetrized.
+def sliding_mean(window: Iterable[GraphSnapshot]) -> np.ndarray:
+    """Entrywise mean of a window's snapshots, oldest first, symmetrized.
 
     Equivalent to averaging (G + G^T)/2 over the window; for bit-symmetric
     snapshots this changes nothing, and for the iid-full sampling convention
     it performs the required symmetrization. The result is bit-exactly
-    symmetric either way. A partially filled buffer is rejected: the
-    statistic for a time index is not computable before its window completes.
+    symmetric either way.
     """
-    if not buffer.full:
-        raise ValueError(
-            f"window not full: {len(buffer)} of {buffer.capacity} snapshots"
-        )
     # the same left-to-right sum as np.add.reduce over the stacked window,
     # without stacking w copies first
-    snaps = buffer.snapshots
+    snaps = list(window)
     acc = np.array(snaps[0].weights, dtype=float)
     for snap in snaps[1:]:
         acc += snap.weights
-    return (acc + acc.T) / (2.0 * buffer.capacity)
+    return (acc + acc.T) / (2.0 * len(snaps))
 
 
 def top_m_eigs(matrix: np.ndarray, m: int) -> SpectralEstimate:
@@ -150,8 +113,7 @@ def top_m_eigs(matrix: np.ndarray, m: int) -> SpectralEstimate:
     (index range n-m+1..n) through the LAPACKE_dsyevr_work binding into the
     OpenBLAS that numpy's wheel ships. Where that library or its symbol is
     missing, every pair comes from np.linalg.eigh and the top m are kept.
-    WindowProjector, the detector's kernel, solves through the same binding
-    and fallback. Either solver reads the lower triangle. The solver is
+    Either solver reads the lower triangle. The solver is
     deterministic: repeated eigenvalues keep its ascending output order,
     reversed, and each eigenvector is sign-normalized so its
     largest-magnitude entry (first such entry on ties) is positive. The two
@@ -260,9 +222,9 @@ def _fix_signs(vectors: np.ndarray) -> None:
             vectors[:, j] = -col
 
 
-def estimate_subspace(buffer: WindowBuffer, m: int) -> SpectralEstimate:
+def estimate_subspace(window: Iterable[GraphSnapshot], m: int) -> SpectralEstimate:
     """Estimated community subspace: top-m eigenpairs of the window mean."""
-    return top_m_eigs(sliding_mean(buffer), m)
+    return top_m_eigs(sliding_mean(window), m)
 
 
 def projector(est: SpectralEstimate) -> np.ndarray:
@@ -276,66 +238,81 @@ def projector(est: SpectralEstimate) -> np.ndarray:
 _RUNNING_ROOM = sys.float_info.max / 4
 
 
-def _peak(snap: GraphSnapshot) -> float:
-    """Largest |weight| of a snapshot; NaN if it holds a NaN."""
-    return float(np.abs(snap.weights).max())
-
-
 class WindowProjector:
-    """The detector's windowed kernel: the rank-m projector onto the top-m
-    eigenspace of a full window's mean, for n-node snapshots, computed in
-    arrays held from one call to the next.
+    """The detector's windowed kernel: it holds the w most recent snapshots
+    and gives the rank-m projector onto the top-m eigenspace of their mean,
+    in arrays sized from the window's n at the first call and kept.
 
-    It keeps the window sum from one call to the next: a call told which
-    snapshot left the window adds the one that entered and subtracts the
-    one that left. It re-sums the window left to right, as sliding_mean
-    does, on its first call, on the w-th call after each re-sum, on any
-    call not told what left, and whenever the largest weights of the
-    w + 1 snapshots involved add up past a quarter of the float range,
-    where a sum could overflow (a NaN or infinite weight included). A
-    re-summed call gives the bits of projector(estimate_subspace(buffer,
-    m)); the w - 1 running calls after it carry at most 2(w - 1) more
-    roundings of the window's magnitudes. A NumericalError is decided by
-    the re-sum alone, as in sliding_mean, since a running update is made
-    only where neither sum can overflow. The mean (acc + acc^T) / (2w) is
-    bit-symmetric by construction, so only its finiteness is checked. The
-    solve is top_m_eigs' binding and fallback, into kept arrays, and no
-    sign is fixed: negating a column is exact, so V V^T does not change.
+    push adds a snapshot and returns the one it pushes out of a full
+    window, the one to score. The call after that push adds the snapshot
+    that entered to the window sum it keeps and subtracts the one that
+    left. It re-sums the window left to right instead, as sliding_mean
+    does, on the first call, on the w-th call after each re-sum, after
+    other than one push since the last call, and whenever the largest
+    weights of the window and of the snapshot that left add up past a
+    quarter of the float range, where a sum could overflow (a NaN or
+    infinite weight included). A re-summed call gives the bits of
+    projector(estimate_subspace(window, m)); the w - 1 running calls after
+    it carry at most 2(w - 1) more roundings of the window's magnitudes. A
+    NumericalError is decided by the re-sum alone, as in sliding_mean,
+    since a running update is made only where neither sum can overflow. The
+    mean (acc + acc^T) / (2w) is bit-symmetric by construction, so only its
+    finiteness is checked. The solve is top_m_eigs' binding and fallback,
+    into kept arrays, and no sign is fixed: negating a column is exact, so
+    V V^T does not change.
     """
 
-    def __init__(self, n: int, m: int):
-        if not 1 <= m <= n:
-            raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-        self._acc = np.empty((n, n))
-        self._top = np.empty((n, m))
-        self._solve = _TopPairs(n, m)
-        # peaks of the snapshot that left and of the window, oldest first,
-        # while calls are told what left; running updates before a re-sum
-        self._peaks: deque[float] = deque()
-        self._runs = 0
+    def __init__(self, w: int, m: int):
+        if w < 1:
+            raise ValueError("window length must be at least 1")
+        self.w, self.m = int(w), m
+        self._window: deque[GraphSnapshot] = deque(maxlen=self.w)
+        # largest |weight| of the snapshot that last left and of the window
+        self._peaks: deque[float] = deque(maxlen=self.w + 1)
+        self._left: GraphSnapshot | None = None
+        # pushes since the last call; running updates left before a re-sum
+        self._pushes = self._runs = 0
+        self._solve: _TopPairs | None = None
 
-    def __call__(self, buffer: WindowBuffer, left: GraphSnapshot | None = None) -> np.ndarray:
-        """Projector for a full buffer of n-node snapshots. `left` is the
-        snapshot the buffer's last push evicted, given only when the
-        previous call saw the window before that push. A non-finite mean
-        raises NumericalError, a failed solve np.linalg.LinAlgError."""
-        acc, mean, w = self._acc, self._solve.a, buffer.capacity
-        snaps = buffer.snapshots
-        peaks = self._peaks
-        if left is None or w == 1:
-            peaks.clear()
-        elif len(peaks) == w + 1:
-            peaks.append(_peak(snaps[-1]))
-        else:
-            self._peaks = peaks = deque(map(_peak, (left, *snaps)), maxlen=w + 1)
-        running = left is not None and self._runs > 0 and sum(peaks) <= _RUNNING_ROOM
+    def push(self, snapshot: GraphSnapshot) -> GraphSnapshot | None:
+        """Append a snapshot of the window's shape (else ValueError); return
+        the one it pushes out of a full window, or None while it fills."""
+        window = self._window
+        if window and snapshot.weights.shape != window[0].weights.shape:
+            raise ValueError(
+                f"snapshot has shape {snapshot.weights.shape}, "
+                f"window holds {window[0].weights.shape}"
+            )
+        self._left = window[0] if len(window) == self.w else None
+        window.append(snapshot)
+        self._peaks.append(float(np.abs(snapshot.weights).max(initial=0.0)))
+        self._pushes += 1
+        return self._left
+
+    def __call__(self) -> np.ndarray:
+        """Projector for the full window. A window not yet full, or at the
+        first call an m outside 1..n, raises ValueError, a non-finite mean
+        NumericalError and a failed solve np.linalg.LinAlgError."""
+        window, w = self._window, self.w
+        if len(window) < w:
+            raise ValueError(f"window not full: {len(window)} of {w} snapshots")
+        if self._solve is None:
+            n, m = window[0].n, self.m
+            if not 1 <= m <= n:
+                raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
+            self._acc, self._top = np.empty((n, n)), np.empty((n, m))
+            self._solve = _TopPairs(n, m)
+        acc, mean = self._acc, self._solve.a
+        running = self._pushes == 1 and self._runs > 0 and sum(self._peaks) <= _RUNNING_ROOM
+        self._pushes = 0
         if running:
-            acc += snaps[-1].weights
-            acc -= left.weights
+            acc += window[-1].weights
+            acc -= self._left.weights
             self._runs -= 1
         else:
-            np.copyto(acc, snaps[0].weights)
-            for snap in snaps[1:]:
+            snaps = iter(window)
+            np.copyto(acc, next(snaps).weights)
+            for snap in snaps:
                 acc += snap.weights
         np.add(acc, acc.T, out=mean)
         mean /= 2.0 * w

@@ -303,8 +303,9 @@ def theory_report(
 
     Fields outside their validity domain carry null values plus a reason in
     the "validity" map; a degenerate spectrum makes nothing computable and
-    raises instead. A non-finite sigma or gamma, or an explicit window below
-    1, is a usage error.
+    raises instead. b_design, the threshold ln(gamma) / delta_star, shares
+    delta_star's validity. A non-finite sigma or gamma, or an explicit
+    window below 1, is a usage error.
     """
     for name, value in (("sigma", sigma), ("gamma", gamma)):
         if not math.isfinite(value):
@@ -366,6 +367,10 @@ def theory_report(
                 "edd_spectral",
                 lambda: edd_spectral_approx(gamma, delta, m, c, w_int, sigma),
             )
+    # edd_spectral is (ln gamma / delta*) / ((m - C/w^2) - d*) + w
+    delta = report["delta_star"]
+    report["b_design"] = None if delta is None else math.log(gamma) / delta
+    validity["b_design"] = dict(validity["delta_star"])
     attempt("ratio", lambda: optimality_ratio(gamma, m, c, n, sigma))
     report["validity"] = validity
     return report

@@ -166,6 +166,24 @@ class TestDetect:
         assert code == 0
         assert "no alarm in 6 snapshots" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "window, code, message",
+        [("5", 0, "no alarm in 5 snapshots"), ("2", 2, "need 1 <= m <= n, got m=3, n=2")],
+    )
+    def test_m_above_n_fails_at_the_first_scored_window(
+        self, tmp_path, capsys, window, code, message
+    ):
+        """m = 3 on five 2-node snapshots: a window of 5 scores nothing and
+        reports no alarm, and a window of 2 fails at its first scored step."""
+        stream = tmp_path / "stream.ndjson"
+        sc = StreamScenario(
+            assignment=assignment_from_sizes((), n=2), sigma=1.0, tau=None, horizon=5, seed=1
+        )
+        write_stream(iter_stream(sc), stream)
+        args = ["detect", str(stream), "--method", "spectral", "--m", "3", "--window", window]
+        assert main(args + ["--b", "5", "--out", str(tmp_path / "t.csv")]) == code
+        assert message in capsys.readouterr().err
+
     def test_infinite_threshold_is_a_usage_error(self, tmp_path, capsys):
         """b = inf can never be reached, so the run could not alarm."""
         stream = simulate_degenerate(tmp_path)

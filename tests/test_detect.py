@@ -200,6 +200,16 @@ class TestRunDetector:
         assert res.stop_time is None
         assert res.trajectory == []
 
+    def test_a_node_count_change_mid_stream_raises(self):
+        """The window holds one shape: the first 4-node snapshot of a
+        generator after five 3-node ones raises ValueError, once the three
+        windows before it are scored."""
+        stream = (GraphSnapshot(t=t, weights=np.eye(3 if t <= 5 else 4)) for t in range(1, 9))
+        stats = iter_statistic(stream, DetectorConfig(method=SPECTRAL, b=math.inf, m=1, w=2, d=0.5))
+        assert [t for t, _, _ in itertools.islice(stats, 3)] == [1, 2, 3]
+        with pytest.raises(ValueError, match=r"snapshot has shape \(4, 4\)"):
+            next(stats)
+
     def test_statistic_never_falls_below_the_increment(self):
         sc = StreamScenario(
             assignment=assignment_from_sizes((2, 1)), sigma=1.0, tau=5, horizon=60, seed=4
@@ -476,13 +486,11 @@ class TestRunDetectorMatchesTheLonghandLoop:
     def test_eigensolver_failure_is_a_numerical_error(self, monkeypatch):
         import spectral_cusum.detect as detect
 
-        def failing(n, m):
-            def project(buffer, left):
+        class Failing(detect.WindowProjector):
+            def __call__(self):
                 raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-            return project
-
-        monkeypatch.setattr(detect, "WindowProjector", failing)
+        monkeypatch.setattr(detect, "WindowProjector", Failing)
         snaps = make_stream(self.scenario(SYMMETRIC))
         with pytest.raises(NumericalError, match="did not converge") as info:
             run_detector(snaps, self.config(SPECTRAL, math.inf))

@@ -33,7 +33,6 @@ from spectral_cusum import (
     NumericalError,
     StreamScenario,
     ValidityError,
-    WindowBuffer,
     assignment_from_sizes,
     build_indicator,
     calibrate_threshold,
@@ -719,19 +718,15 @@ class TestOcCurve:
 
 def window_buffer_values(scenario, m, w, replications, master_seed, offset):
     """Slow twin of the first-increment sampler: replication i, drawn from key
-    (master_seed, 2i + offset), fills a WindowBuffer with the w snapshots
-    after the first and dots the first snapshot with the window's projector,
-    instead of scoring through the detector's statistic. Returns tr(G P) per
-    replication."""
+    (master_seed, 2i + offset), dots the first snapshot with the projector
+    of the window of the w snapshots after it, instead of scoring through
+    the detector's statistic. Returns tr(G P) per replication."""
     sc = replace(scenario, horizon=w + 1)
     vals = np.empty(replications)
     for i in range(replications):
         rng = rng_from_key(master_seed, 2 * i + offset)
         snaps = list(iter_stream(sc, rng=rng))
-        buf = WindowBuffer(w)
-        for s in snaps[1:]:
-            buf.push(s)
-        p = projector(estimate_subspace(buf, m))
+        p = projector(estimate_subspace(snaps[1:], m))
         vals[i] = float(np.dot(snaps[0].weights.ravel(), p.ravel()))
     return vals
 

@@ -1,6 +1,7 @@
-"""Tests for window buffering, sliding means, and subspace estimation."""
+"""Tests for the windowed kernel, sliding means, and subspace estimation."""
 
 import ctypes
+from collections import deque
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from spectral_cusum import (
     GraphSnapshot,
     NumericalError,
     StreamScenario,
-    WindowBuffer,
     WindowProjector,
     assignment_from_sizes,
     build_indicator,
@@ -37,39 +37,26 @@ def snap(weights, t=1):
     return GraphSnapshot(t=t, weights=w)
 
 
-def filled_buffer(matrices):
-    buf = WindowBuffer(len(matrices))
-    for t, m in enumerate(matrices, start=1):
-        buf.push(snap(m, t=t))
-    return buf
+def window_of(matrices):
+    return [snap(m, t=t) for t, m in enumerate(matrices, start=1)]
 
 
-class TestWindowBuffer:
-    def test_fills_then_rolls(self):
-        buf = WindowBuffer(2)
-        assert not buf.full
-        buf.push(snap(np.zeros((2, 2)), t=1))
-        buf.push(snap(np.ones((2, 2)), t=2))
-        assert buf.full and len(buf) == 2
-        buf.push(snap(2 * np.ones((2, 2)), t=3))
-        assert [s.t for s in buf.snapshots] == [2, 3]
+class TestWindowProjectorPush:
+    def test_push_returns_what_a_full_window_pushes_out_in_arrival_order(self):
+        window = WindowProjector(2, 1)
+        left = [window.push(snap(np.full((2, 2), float(t)), t=t)) for t in range(1, 8)]
+        assert left[:2] == [None, None]
+        assert [g.t for g in left[2:]] == [1, 2, 3, 4, 5]
 
-    def test_push_returns_what_a_full_buffer_evicts_in_arrival_order(self):
-        buf = WindowBuffer(2)
-        evicted = [buf.push(snap(np.full((2, 2), float(t)), t=t)) for t in range(1, 6)]
-        assert evicted[:2] == [None, None]
-        assert [g.t for g in evicted[2:]] == [1, 2, 3]
-        assert [s.t for s in buf.snapshots] == [4, 5]
-
-    def test_rejects_capacity_below_one(self):
+    def test_rejects_a_window_length_below_one(self):
         with pytest.raises(ValueError):
-            WindowBuffer(0)
+            WindowProjector(0, 1)
 
     def test_rejects_mismatched_node_counts(self):
-        buf = WindowBuffer(3)
-        buf.push(snap(np.zeros((2, 2))))
+        window = WindowProjector(3, 1)
+        window.push(snap(np.zeros((2, 2))))
         with pytest.raises(ValueError):
-            buf.push(snap(np.zeros((3, 3))))
+            window.push(snap(np.zeros((3, 3))))
 
     def test_rejects_a_shape_change_at_the_same_node_count(self):
         """Weights of shape (2, 2) and (2, 3) would both give n = 2; a
@@ -81,51 +68,45 @@ class TestWindowBuffer:
 
 class TestSlidingMean:
     def test_averages_entrywise(self):
-        buf = filled_buffer([[[0, 1], [1, 0]], [[2, 1], [1, 2]]])
+        buf = window_of([[[0, 1], [1, 0]], [[2, 1], [1, 2]]])
         np.testing.assert_array_equal(sliding_mean(buf), [[1, 1], [1, 1]])
 
     def test_identical_snapshots_average_to_themselves(self):
         g = mean_matrix(build_indicator(assignment_from_sizes((2, 1))))
-        buf = filled_buffer([g, g, g])
+        buf = window_of([g, g, g])
         np.testing.assert_allclose(sliding_mean(buf), g, rtol=0, atol=1e-15)
 
     def test_window_of_one_is_the_snapshot(self):
         m = [[0.5, -1.0], [-1.0, 2.0]]
-        np.testing.assert_array_equal(sliding_mean(filled_buffer([m])), m)
-
-    def test_rejects_a_partially_filled_window(self):
-        buf = WindowBuffer(3)
-        buf.push(snap(np.zeros((2, 2))))
-        with pytest.raises(ValueError):
-            sliding_mean(buf)
+        np.testing.assert_array_equal(sliding_mean(window_of([m])), m)
 
     def test_output_is_bit_symmetric_even_for_asymmetric_input(self):
         rng = rng_from_key(21)
         mats = [rng.standard_normal((5, 5)) for _ in range(4)]
-        out = sliding_mean(filled_buffer(mats))
+        out = sliding_mean(window_of(mats))
         assert np.array_equal(out, out.T)
         sym = sum((m + m.T) / 2.0 for m in mats) / 4.0
         np.testing.assert_allclose(out, sym, rtol=0, atol=1e-15)
 
 
-def stacked_mean(buffer):
+def stacked_mean(window):
     """sliding_mean's slow twin: stack the window, reduce it, symmetrize."""
-    acc = np.add.reduce([snap.weights for snap in buffer.snapshots])
-    return (acc + acc.T) / (2.0 * buffer.capacity)
+    acc = np.add.reduce([snap.weights for snap in window])
+    return (acc + acc.T) / (2.0 * len(window))
 
 
 @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
 @pytest.mark.parametrize("n, w", [(3, 1), (8, 2), (20, 7), (100, 4)])
 def test_sliding_mean_matches_the_stacked_reduce_bit_for_bit(convention, n, w):
-    """Every window a rolling buffer holds over 30 snapshots, noisy about a
+    """Every full window of a rolling deque over 30 snapshots, noisy about a
     block mean; iid-full snapshots are asymmetric."""
     mean = 3.0 * mean_matrix(build_indicator(assignment_from_sizes((n // 2, 1), n=n)))
     rng = rng_from_key(40, 100 * n + w)
-    buf = WindowBuffer(w)
+    window = deque(maxlen=w)
     for t in range(1, 31):
-        buf.push(sample_snapshot(mean, 0.7, convention, rng, t=t))
-        if buf.full:
-            assert np.array_equal(sliding_mean(buf), stacked_mean(buf))
+        window.append(sample_snapshot(mean, 0.7, convention, rng, t=t))
+        if len(window) == w:
+            assert np.array_equal(sliding_mean(window), stacked_mean(window))
 
 
 def eigh_top(matrix, m):
@@ -309,7 +290,7 @@ class TestTopMEigs:
 class TestSubspace:
     def test_noiseless_window_recovers_the_projector(self):
         g = mean_matrix(build_indicator(assignment_from_sizes((2, 1))))
-        est = estimate_subspace(filled_buffer([g] * 4), 2)
+        est = estimate_subspace(window_of([g] * 4), 2)
         np.testing.assert_allclose(
             projector(est),
             [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]],
@@ -317,7 +298,7 @@ class TestSubspace:
         )
 
     def test_zero_window_still_yields_a_rank_m_projector(self):
-        est = estimate_subspace(filled_buffer([np.zeros((4, 4))] * 3), 2)
+        est = estimate_subspace(window_of([np.zeros((4, 4))] * 3), 2)
         p = projector(est)
         assert float(np.trace(p)) == pytest.approx(2.0, abs=1e-8)
         np.testing.assert_allclose(p @ p, p, atol=1e-8)
@@ -330,10 +311,7 @@ class TestSubspace:
             horizon=5,
             seed=2,
         )
-        buf = WindowBuffer(5)
-        for s in iter_stream(sc):
-            buf.push(s)
-        est = estimate_subspace(buf, 2)
+        est = estimate_subspace(iter_stream(sc), 2)
         p = projector(est)
         np.testing.assert_allclose(p, p.T, atol=1e-12)
         np.testing.assert_allclose(p @ p, p, atol=1e-8)
@@ -350,18 +328,16 @@ class TestSubspace:
         sc = StreamScenario(assignment=asg, sigma=0.1, tau=0, horizon=50, seed=0)
         hits = 0
         for rep in range(200):
-            buf = WindowBuffer(50)
-            for s in iter_stream(sc, rng=rng_from_key(101, rep)):
-                buf.push(s)
-            p = projector(estimate_subspace(buf, 2))
+            p = projector(estimate_subspace(iter_stream(sc, rng=rng_from_key(101, rep)), 2))
             if float(np.linalg.norm(p - truth)) <= 0.1:
                 hits += 1
         assert hits >= 190
 
 
 def check_against_twin(snaps, n, m, w):
-    """Drive a WindowProjector over a rolling buffer of snaps as
-    iter_statistic does: from the first eviction on, told what left.
+    """Push snaps into a WindowProjector and call it after every push that
+    pushes a snapshot out, as iter_statistic does, against a rolling deque
+    of the same snaps.
 
     On its first call and every w-th call after it the kernel must give
     projector(estimate_subspace(buf, m)) bit for bit. In between, the two
@@ -372,13 +348,13 @@ def check_against_twin(snaps, n, m, w):
     roundings. Returns, per call, whether the two agreed bit for bit.
     """
     eps = np.finfo(float).eps
-    project, buf = WindowProjector(n, m), WindowBuffer(w)
+    project, buf = WindowProjector(w, m), deque(maxlen=w)
     same = []
     for s in snaps:
-        left = buf.push(s)
-        if left is None:
+        buf.append(s)
+        if project.push(s) is None:
             continue
-        got = project(buf, left)
+        got = project()
         want = projector(estimate_subspace(buf, m))
         mean = sliding_mean(buf)
         if len(same) % w == 0:
@@ -434,28 +410,57 @@ class TestWindowProjector:
     @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
     @pytest.mark.parametrize("m", [1, 2, 8, 12])
     def test_matches_the_slow_twin_bit_for_bit(self, convention, m):
-        """Not told what left, the kernel re-sums every window, so it gives
-        projector(estimate_subspace(buf, m)) on every window of a rolling
-        buffer, at m = n = 12 and at m = 8, where numpy 2.4.6's column-view
-        negation broke the sign fix the kernel no longer makes."""
+        """A fresh kernel pushed a window's w + 1 snapshots re-sums its
+        window on its first call, so it gives projector(estimate_subspace(
+        window, m)) on every such window of 20 snapshots, at m = n = 12 and
+        at m = 8, where numpy 2.4.6's column-view negation broke the sign
+        fix the kernel no longer makes."""
         n, w = 12, 4
         mean = 2.0 * mean_matrix(build_indicator(assignment_from_sizes((4, 3, 2), n=n)))
         rng = rng_from_key(60, m)
-        project = WindowProjector(n, m)
-        buf = WindowBuffer(w)
-        for t in range(1, 21):
-            buf.push(sample_snapshot(mean, 0.8, convention, rng, t=t))
-            if buf.full:
-                assert np.array_equal(project(buf), projector(estimate_subspace(buf, m)))
+        snaps = [sample_snapshot(mean, 0.8, convention, rng, t=t) for t in range(1, 21)]
+        for k in range(len(snaps) - w):
+            project = WindowProjector(w, m)
+            for s in snaps[k : k + w + 1]:
+                project.push(s)
+            want = projector(estimate_subspace(snaps[k + 1 : k + w + 1], m))
+            assert np.array_equal(project(), want)
+
+    def test_re_sums_after_other_than_one_push_since_its_last_call(self):
+        """A running update needs the window the last call summed, so a
+        call after two pushes, or after none, re-sums and gives the twin's
+        bits."""
+        n, m, w = 12, 2, 4
+        snaps = noisy_block_stream(n, SYMMETRIC, (63,), 12)
+        project = WindowProjector(w, m)
+        for s in snaps[:5]:
+            project.push(s)
+        project()
+        project.push(snaps[5])
+        project.push(snaps[6])
+        want = projector(estimate_subspace(snaps[3:7], m))
+        assert np.array_equal(project(), want)
+        assert np.array_equal(project(), want)
+
+    def test_rejects_a_call_before_the_window_is_full(self):
+        project = WindowProjector(3, 1)
+        project.push(snap(np.eye(2)))
+        with pytest.raises(ValueError, match="window not full: 1 of 3"):
+            project()
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_window_is_a_numerical_error(self, bad):
         weights = np.zeros((3, 3))
         weights[0, 2] = bad
+        project = WindowProjector(2, 1)
+        for s in window_of([np.eye(3), weights]):
+            project.push(s)
         with pytest.raises(NumericalError, match="non-finite"):
-            WindowProjector(3, 1)(filled_buffer([np.eye(3), weights]))
+            project()
 
     def test_rejects_bad_m(self):
         for m in (0, 4):
+            project = WindowProjector(1, m)
+            project.push(snap(np.eye(3)))
             with pytest.raises(ValueError, match="need 1 <= m <= n"):
-                WindowProjector(3, m)
+                project()

@@ -405,6 +405,7 @@ class TestReport:
         assert rep["delta_star"] == delta_star(2, 24.0, w, 0.25)
         assert rep["d_star"] == optimal_drift(w, 2, 24.0, 0.25)
         assert rep["edd_spectral"] == edd_at_optimal_tilt(gamma, 2, 24.0, w, 0.25)
+        assert rep["b_design"] == math.log(gamma) / rep["delta_star"]
         assert rep["delta_star"] > 0 and rep["d_star"] > 0 and rep["edd_spectral"] > w
         assert rep["ratio"] > 1.0
 
@@ -423,6 +424,19 @@ class TestReport:
         assert rep["delta_star"] is None
         reason = rep["validity"]["delta_star"]["reason"]
         assert isinstance(reason, str) and reason
+
+    @pytest.mark.parametrize("window", [None, 50])
+    def test_design_threshold_follows_delta_star(self, window):
+        """b_design = ln gamma / delta*: null with delta_star's reason where
+        delta_star is outside its domain (the optimal window of 3 is too
+        short at gamma = 1000), and its value at an explicit window of 50."""
+        rep = theory_report((12, 6), sigma=0.25, gamma=1000.0, window=window)
+        assert rep["validity"]["b_design"] == rep["validity"]["delta_star"]
+        if window is None:
+            assert rep["b_design"] is None and rep["validity"]["b_design"]["ok"] is False
+        else:
+            assert rep["b_design"] == math.log(1000.0) / rep["delta_star"]
+            assert rep["validity"]["b_design"]["ok"] is True
 
     def test_report_rejects_degenerate_sizes(self):
         with pytest.raises(ValidityError):
