@@ -194,20 +194,43 @@ class _OraclePath:
         return np.array(stepped)
 
 
+class _WindowedPath:
+    """One replication of a windowed detector, with _OraclePath's interface.
+
+    extend(b) re-simulates the replication from its key through
+    run_detector at threshold b and returns the statistics past those it
+    returned before. Replication i draws only from key (seed, i), in time
+    order, so a path stopped sooner is a prefix of one stopped later. Its
+    state is the count returned: a live path would hold its window of
+    snapshots, about 100 KB a path at n = 20 and w = 10.
+    """
+
+    __slots__ = ("_plan", "_rep", "_done")
+
+    def __init__(self, plan: McPlan, rep: int):
+        self._plan, self._rep, self._done = plan, rep, 0
+
+    def extend(self, b: float) -> np.ndarray:
+        plan = self._plan
+        stream = iter_stream(plan.scenario, rng=rng_from_key(plan.master_seed, self._rep), horizon=plan.cap)
+        trajectory = run_detector(stream, replace(plan.detector, b=b)).trajectory[self._done :]
+        self._done += len(trajectory)
+        return np.array([s for _, s in trajectory])
+
+
+def _path(plan: McPlan, rep: int) -> _OraclePath | _WindowedPath:
+    """Replication rep of plan, on the engine of its detector's method."""
+    return (_OraclePath if plan.detector.method == EXACT else _WindowedPath)(plan, rep)
+
+
 def _rep_path(plan: McPlan, rep: int) -> np.ndarray:
     """Statistic path of one replication, up to and including its first
     crossing of plan.detector.b; at b = +inf, the whole path to cap.
 
-    The exact method runs a fresh _OraclePath extended to b; the others run
-    the snapshot-by-snapshot detector. Entry i is the statistic of scored
-    index i + 1, so an alarm on the last entry falls at the path's length
-    plus lag.
+    Entry i is the statistic of scored index i + 1, so an alarm on the last
+    entry falls at the path's length plus lag.
     """
-    if plan.detector.method == EXACT:
-        return _OraclePath(plan, rep).extend(plan.detector.b)
-    stream = iter_stream(plan.scenario, rng=rng_from_key(plan.master_seed, rep), horizon=plan.cap)
-    result = run_detector(stream, plan.detector)
-    return np.array([s for _, s in result.trajectory])
+    return _path(plan, rep).extend(plan.detector.b)
 
 
 def _rep_alarm(plan: McPlan, rep: int) -> int | None:
@@ -252,6 +275,59 @@ def estimate_edd(plan: McPlan, workers: int = 1) -> McEstimate:
     return _summarize(times)
 
 
+class _PathSet:
+    """Replications 0..reps-1 of a plan, each run only as far as a probe needs.
+
+    decide(b, test) settles test(probe(b)) for calibrate_threshold's probe
+    at b, from bounds on it. Let path i have run l_i steps without crossing
+    b. Every known alarm time counts in both bounds; an unknown one counts
+    l_i + 1 + lag in the lower bound and cap in the upper. The integer sums
+    are exact and are divided by the path count as the probe divides, so
+    when both bounds give the same answer the probe gives it too. Otherwise
+    the first undecided path, in id order, is extended to its first
+    crossing of b (or to cap), and the bounds are checked again. So every
+    verdict is the one that paths run to cap give, bit for bit.
+    """
+
+    def __init__(self, plan: McPlan):
+        self._lag, self._cap = plan.detector.lag, plan.cap
+        self._paths = [_path(plan, i) for i in range(plan.replications)]
+        # running maxima of the statistics stepped so far; a whole path has
+        # cap - lag entries
+        self._runmax = [np.empty(0)] * plan.replications
+
+    def alarm_time(self, i: int, b: float) -> int | None:
+        rm = self._runmax[i]
+        if rm.size and rm[-1] >= b:
+            return int(np.searchsorted(rm, b)) + 1 + self._lag
+        return self._cap if rm.size == self._cap - self._lag else None
+
+    def extend(self, i: int, b: float) -> int:
+        stepped = np.maximum.accumulate(self._paths[i].extend(b))
+        rm = self._runmax[i]
+        if rm.size:
+            np.maximum(stepped, rm[-1], out=stepped)
+        self._runmax[i] = np.concatenate((rm, stepped))
+        return self.alarm_time(i, b)
+
+    def decide(self, b: float, test) -> bool:
+        """test(probe(b)) for a test monotone in the probe value."""
+        reps = len(self._paths)
+        times = [self.alarm_time(i, b) for i in range(reps)]
+        pending = [i for i, t in enumerate(times) if t is None]
+        lows = [self._runmax[i].size + 1 + self._lag if t is None else t for i, t in enumerate(times)]
+        highs = [self._cap if t is None else t for t in times]
+        lower, upper = sum(lows), sum(highs)
+        for i in pending:
+            verdict = test(lower / reps)
+            if verdict == test(upper / reps):
+                return verdict
+            t = self.extend(i, b)
+            lower += t - lows[i]
+            upper += t - highs[i]
+        return test(lower / reps)
+
+
 def calibrate_threshold(
     plan: McPlan, target_gamma: float, rel_tol: float = 0.1, workers: int = 1
 ) -> float:
@@ -262,24 +338,12 @@ def calibrate_threshold(
     rel_tol. A probe at b is the mean over the replications of each one's
     alarm time at b, or cap for one that never reaches b, which keeps the
     probe curve monotone and conservative. The search only compares probes
-    with a value, and settles each comparison from bounds on the probe,
-    simulating no more than the comparison needs. Let path i have run l_i
-    steps without crossing b. Every alarm time already known counts in both
-    bounds; an unknown one counts l_i + 1 + lag in the lower bound and cap
-    in the upper. The integer sums are exact and are divided by the
-    replication count as the probe divides, so when both bounds give the
-    same answer the probe gives it too. Otherwise the first undecided
-    replication, in id order, is extended to its first crossing of b (or to
-    cap), and the bounds are checked again. Every comparison, and so the
-    threshold, is the one that paths run to cap give, bit for bit.
-
-    Exact-detector paths are resumed where they stopped (_OraclePath);
-    windowed ones are re-simulated from their key. Replication i draws only
-    from key (seed, i), in time order, so a path stopped sooner is a prefix
-    of one stopped later. This path phase runs in the calling process at
-    any worker count. A confirmation pass at double budget with fresh
-    replication ids, spread over the workers, must land within rel_tol of
-    the target, with fewer than 1% of its runs truncated.
+    with a value, and _PathSet.decide settles each comparison as paths run
+    to cap would, simulating no more than it needs; this path phase runs
+    in the calling process at any worker count. A confirmation pass at
+    double budget with fresh replication ids, spread over the workers, must
+    land within rel_tol of the target, with fewer than 1% of its runs
+    truncated.
     """
     if not target_gamma >= 10:
         raise ValueError("target run length must be at least 10")
@@ -293,61 +357,7 @@ def calibrate_threshold(
             f"{target_gamma}: need cap >= 10 * target"
         )
     _check_workers(workers)
-    lag = plan.detector.lag
-    cap = plan.cap
-    reps = plan.replications
-    # running maxima of the statistics stepped so far; a whole path has
-    # cap - lag entries
-    runmax = [np.empty(0)] * reps
-    if plan.detector.method == EXACT:
-        oracles = [_OraclePath(plan, i) for i in range(reps)]
-
-        def run(i: int, b: float) -> np.ndarray:
-            return oracles[i].extend(b)
-
-    else:
-        # re-simulated from the key: a windowed path's live state would be
-        # a window of snapshots, about 100 KB a path at n = 20 and w = 10
-        def run(i: int, b: float) -> np.ndarray:
-            at_b = replace(plan, detector=replace(plan.detector, b=b))
-            return _rep_path(at_b, i)[runmax[i].size :]
-
-    def alarm_time(i: int, b: float) -> int | None:
-        rm = runmax[i]
-        if rm.size and rm[-1] >= b:
-            return int(np.searchsorted(rm, b)) + 1 + lag
-        return cap if rm.size == cap - lag else None
-
-    def extend(i: int, b: float) -> int:
-        stepped = np.maximum.accumulate(run(i, b))
-        if runmax[i].size:
-            np.maximum(stepped, runmax[i][-1], out=stepped)
-        runmax[i] = np.concatenate((runmax[i], stepped))
-        return alarm_time(i, b)
-
-    def decide(b: float, test) -> bool:
-        """test(probe(b)) for a test monotone in the probe value."""
-        lower = upper = 0
-        pending = []
-        for i in range(reps):
-            t = alarm_time(i, b)
-            if t is None:
-                pending.append(i)
-                lower += runmax[i].size + 1 + lag
-                upper += cap
-            else:
-                lower += t
-                upper += t
-        for i in pending:
-            verdict = test(lower / reps)
-            if verdict == test(upper / reps):
-                return verdict
-            lower -= runmax[i].size + 1 + lag
-            upper -= cap
-            t = extend(i, b)
-            lower += t
-            upper += t
-        return test(lower / reps)
+    decide = _PathSet(plan).decide
 
     tol = rel_tol * target_gamma
 

@@ -207,6 +207,40 @@ class TestStoppedPaths:
         assume(assert_stopped_path_is_a_prefix(plan, rep, k) is not None)
 
 
+class TestResumedPaths:
+    """Each engine's path, extended to b1 < b2 and then to +inf, returns in
+    pieces the path _rep_path runs to cap; a path at cap returns nothing
+    more."""
+
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    @pytest.mark.parametrize("method", [EXACT, SPECTRAL, TOP1])
+    def test_extensions_concatenate_to_the_whole_path(self, method, convention):
+        if method == EXACT:
+            det, cap, engine = exact_detector(1.0), 1100, montecarlo._OraclePath
+        else:
+            det, cap, engine = DetectorConfig(method=method, b=1.0, m=2, w=3), 60, montecarlo._WindowedPath
+        plan = McPlan(h0_scenario(convention=convention), det, replications=1, cap=cap, master_seed=8)
+        for rep in range(6):
+            full = _rep_path(with_b(plan, math.inf), rep)
+            assert full.size == cap - det.lag
+            top = float(full.max())
+            assert top > 0
+            path = montecarlo._path(plan, rep)
+            assert type(path) is engine
+            pieces = [path.extend(0.4 * top)]
+            # between the first piece's last statistic and the maximum
+            b2 = 0.5 * (pieces[0][-1] + top)
+            pieces += [path.extend(b2), path.extend(math.inf)]
+            assert 0.4 * top < b2 <= top
+            assert np.array_equal(np.concatenate(pieces), full)
+            assert path.extend(math.inf).size == 0
+            assert path.extend(b2).size == 0
+            # a finite threshold above the path's maximum also runs it to cap
+            capped = montecarlo._path(plan, rep)
+            assert np.array_equal(capped.extend(top + 1.0), full)
+            assert capped.extend(math.inf).size == 0
+
+
 class TestExactEngineMatchesTheBlockAtATimeTwin:
     @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
     @pytest.mark.parametrize("tau", [None, 0, 37])
@@ -508,6 +542,16 @@ class TestCalibration:
             calibrate_threshold(plan, 20.0)
 
 
+def full_cap_probe(paths, b, lag, cap):
+    """Calibration's probe at b over paths run to cap: the mean of each
+    path's first crossing of b plus 1 + lag, or cap if it never crosses."""
+    total = 0.0
+    for path in paths:
+        hits = np.nonzero(path >= b)[0]
+        total += hits[0] + 1 + lag if hits.size else cap
+    return total / len(paths)
+
+
 def full_cap_calibrate(plan, target_gamma, rel_tol):
     """Slow twin of calibrate_threshold: every path is run to cap, and a
     probe scans each path for its first crossing of b. The search, the
@@ -516,11 +560,7 @@ def full_cap_calibrate(plan, target_gamma, rel_tol):
     paths = [_rep_path(with_b(plan, math.inf), i) for i in range(plan.replications)]
 
     def probe(b):
-        total = 0.0
-        for path in paths:
-            hits = np.nonzero(path >= b)[0]
-            total += hits[0] + 1 + lag if hits.size else plan.cap
-        return total / len(paths)
+        return full_cap_probe(paths, b, lag, plan.cap)
 
     def within(value):
         return abs(value - target_gamma) <= rel_tol * target_gamma
@@ -569,6 +609,54 @@ def full_cap_calibrate(plan, target_gamma, rel_tol):
         candidate = solve(target_gamma * target_gamma / est.mean)
 
 
+class TestPathSetDecide:
+    """decide(b, test) is test applied to the probe of paths run to cap,
+    whatever earlier calls left the paths at."""
+
+    @pytest.mark.parametrize("method", [EXACT, SPECTRAL])
+    def test_matches_the_full_cap_probe(self, method):
+        if method == EXACT:
+            det = exact_detector(1.0)
+        else:
+            det = DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=3, d=0.2)
+        plan = McPlan(h0_scenario(), det, replications=30, cap=200, master_seed=5)
+        full = [_rep_path(with_b(plan, math.inf), i) for i in range(plan.replications)]
+        tops = sorted(float(path.max()) for path in full)
+        assert tops[0] < tops[1]
+        # the lowest maximum's path, then every path, must run to cap
+        above_one = 0.5 * (tops[0] + tops[1])
+        above_all = tops[-1] + 1.0
+        grid = [tops[15], 0.5 * tops[0], above_one, tops[5], above_all, tops[25], tops[15]]
+        paths = montecarlo._PathSet(plan)
+        reps = plan.replications
+        for b in grid:
+            probe = full_cap_probe(full, b, det.lag, plan.cap)
+            for t in (probe, probe - 1 / reps, probe + 1 / reps, 0.5 * probe, 2 * probe):
+                assert paths.decide(b, lambda v: v < t) == (probe < t)
+                assert paths.decide(b, lambda v: v > t) == (probe > t)
+        assert full_cap_probe(full, above_all, det.lag, plan.cap) == plan.cap
+        assert [paths.alarm_time(i, above_all) for i in range(reps)] == [plan.cap] * reps
+
+    @pytest.mark.parametrize("method", [EXACT, SPECTRAL])
+    def test_the_lower_bound_is_tight(self, method):
+        """A path stopped at its crossing of b1, at entry k, can cross b2 on
+        its very next step: its lower bound at b2 is k + 2 + lag, its alarm
+        time there, and not one more."""
+        if method == EXACT:
+            det = exact_detector(1.0)
+        else:
+            det = DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=3, d=0.2)
+        plan = McPlan(h0_scenario(tau=0), det, replications=1, cap=200, master_seed=5)
+        full = _rep_path(with_b(plan, math.inf), 0)
+        k = next(k for k in range(1, full.size - 1) if full[:k].max() < full[k] < full[k + 1])
+        paths = montecarlo._PathSet(plan)
+        at_k = k + 1 + det.lag
+        assert not paths.decide(full[k], lambda v: v < at_k)
+        assert paths.alarm_time(0, full[k]) == at_k
+        assert not paths.decide(full[k + 1], lambda v: v > at_k + 1)
+        assert paths.alarm_time(0, full[k + 1]) == at_k + 1
+
+
 class TestCalibrationMatchesTheFullCapTwin:
     """Paths stopped at the highest threshold probed give the thresholds
     that paths run to cap give, bit for bit."""
@@ -609,6 +697,24 @@ class TestCalibrationMatchesTheFullCapTwin:
         path_phase = keys[: keys.index(plan.replications)]
         assert path_phase == list(range(plan.replications))
         assert sorted(keys) == list(range(len(keys)))
+
+    def test_each_windowed_path_is_built_once(self, monkeypatch):
+        """The same for the windowed engine's paths, counted as they are
+        built: each extension re-draws from the path's key on purpose."""
+        built = []
+        init = montecarlo._WindowedPath.__init__
+
+        def spy_init(self, plan, rep):
+            built.append(rep)
+            init(self, plan, rep)
+
+        monkeypatch.setattr(montecarlo._WindowedPath, "__init__", spy_init)
+        det = DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=3, d=0.2)
+        plan = McPlan(h0_scenario(), det, replications=60, cap=200, master_seed=5)
+        assert calibrate_threshold(plan, 20.0, 0.2) > math.log(20.0)
+        path_phase = built[: built.index(plan.replications)]
+        assert path_phase == list(range(plan.replications))
+        assert sorted(built) == list(range(len(built)))
 
     @staticmethod
     def assert_bit_identical(plan, gamma, rel_tol):
@@ -716,7 +822,7 @@ class TestOcCurve:
         assert exact_row.edd <= spectral_row.edd + 2.0 * pooled
 
 
-def window_buffer_values(scenario, m, w, replications, master_seed, offset):
+def snapshot_dot_projector_values(scenario, m, w, replications, master_seed, offset):
     """Slow twin of the first-increment sampler: replication i, drawn from key
     (master_seed, 2i + offset), dots the first snapshot with the projector
     of the window of the w snapshots after it, instead of scoring through
@@ -731,13 +837,13 @@ def window_buffer_values(scenario, m, w, replications, master_seed, offset):
     return vals
 
 
-def window_buffer_drift(scenario, m, w, replications, master_seed=0):
-    """Slow twin of estimate_drift_mc over window_buffer_values.
+def snapshot_dot_projector_drift(scenario, m, w, replications, master_seed=0):
+    """Slow twin of estimate_drift_mc over snapshot_dot_projector_values.
     Returns {phase: (mean, se)}."""
     means = {}
     for phase, tau, offset in (("pre", None, 0), ("post", 0, 1)):
         sc = replace(scenario, tau=tau)
-        vals = window_buffer_values(sc, m, w, replications, master_seed, offset)
+        vals = snapshot_dot_projector_values(sc, m, w, replications, master_seed, offset)
         se = float(vals.std(ddof=1) / math.sqrt(replications)) if replications > 1 else 0.0
         means[phase] = (float(vals.mean()), se)
     return means
@@ -755,7 +861,7 @@ class TestDriftMc:
         ],
     )
     @pytest.mark.parametrize("m,w", [(2, 5), (1, 3)])
-    def test_matches_the_window_buffer_twin(self, sizes, n, sigma, convention, m, w):
+    def test_matches_the_snapshot_dot_projector_twin(self, sizes, n, sigma, convention, m, w):
         """Scoring through iter_statistic adds d back to the increment, which
         may move a value by an ulp; noiseless values are exact."""
         sc = StreamScenario(
@@ -766,7 +872,7 @@ class TestDriftMc:
             convention=convention,
         )
         res = estimate_drift_mc(sc, m=m, w=w, replications=40, master_seed=9)
-        want = window_buffer_drift(sc, m, w, 40, master_seed=9)
+        want = snapshot_dot_projector_drift(sc, m, w, 40, master_seed=9)
         for est, (mean, se) in ((res.pre, want["pre"]), (res.post, want["post"])):
             assert est.used == 40 and est.truncated == 0
             if sigma == 0:
@@ -841,7 +947,7 @@ class TestEqualizerMc:
             (5, 2, 1, 0.4, 0.8, 100, 2),
         ],
     )
-    def test_matches_the_window_buffer_twin(self, n, m, w, sigma, delta, replications, seed):
+    def test_matches_the_snapshot_dot_projector_twin(self, n, m, w, sigma, delta, replications, seed):
         """The moment is the mean of exp(delta (x - d)) over the twin's
         pre-change values x = tr(G P), on the same keys as estimate_drift_mc's
         pre phase; m = n and w = 1 are the edge cases."""
@@ -853,7 +959,7 @@ class TestEqualizerMc:
             convention=IID_FULL,
         )
         d = drift_for_delta(delta, sigma, m)
-        x = window_buffer_values(sc, m, w, replications, seed, 0)
+        x = snapshot_dot_projector_values(sc, m, w, replications, seed, 0)
         want = float(np.mean(np.exp(delta * (x - d))))
         got = verify_equalizer_mc(n, m, w, sigma, delta, replications, master_seed=seed)
         assert got == pytest.approx(want, rel=1e-12)
