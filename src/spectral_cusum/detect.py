@@ -17,13 +17,16 @@ z_t = scale * tr(G_t K_t) - offset with a symmetric kernel K_t:
 
 Spectral and top1 score snapshot t only once snapshot t+w has arrived, so the
 window never overlaps the scored snapshot and the wall-clock alarm time is the
-scored index plus w.
+scored index plus w: spectral.window_projections pairs each scored snapshot
+with its projector, and iter_statistic scores every method's pairs in one
+loop.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -31,8 +34,8 @@ import numpy as np
 from .graph_model import GraphSnapshot, IndicatorMatrix, mean_matrix
 from .spectral import (
     NumericalError,
-    WindowProjector,
     estimate_subspace,  # noqa: F401  unused; perfbench's tracer wraps detect.estimate_subspace
+    window_projections,
 )
 
 EXACT = "exact"
@@ -138,41 +141,32 @@ class DetectionResult:
 def iter_statistic(stream, config: DetectorConfig) -> Iterator[tuple[int, float, float]]:
     """Yield (scored index, increment, statistic) for each scored snapshot.
 
-    Every method scores scale * tr(G K) - offset; config.lag alone tells
-    the exact oracle's fixed kernel AA^T from the windowed methods'
-    per-step projector. One WindowProjector, built before the loop, holds
-    the window: each snapshot a push returns is scored against the
-    kernel's projector for the w snapshots after it, so a stream of at most
-    w snapshots yields nothing, and a snapshot of another shape than the
-    window's raises ValueError. Exact scores each snapshot on arrival.
-    The generator runs the recursion over the whole stream and never stops
-    at config.b; run_detector is its consumer that stops there. A
-    non-finite window mean or increment, or a failed eigensolve, raises
-    NumericalError: it would stop the statistic from alarming. Finite
-    weights can get there by overflowing. The generator sets no numpy
-    error state of its own, so a caller that wants overflow silenced wraps
-    its loop in np.errstate.
+    Every method scores scale * tr(G K) - offset over (snapshot, kernel)
+    pairs: the exact oracle pairs each snapshot on arrival with its fixed
+    kernel AA^T, and the windowed methods take their pairs from
+    spectral.window_projections, which scores each snapshot against the
+    projector for the w snapshots after it, so a stream of at most w
+    snapshots yields nothing, and a snapshot of another shape than the
+    window's raises ValueError. The generator runs the recursion over the
+    whole stream and never stops at config.b; run_detector is its consumer
+    that stops there. A non-finite window mean or increment, or a failed
+    eigensolve, raises NumericalError: it would stop the statistic from
+    alarming. Finite weights can get there by overflowing. The generator
+    sets no numpy error state of its own, so a caller that wants overflow
+    silenced wraps its loop in np.errstate.
     """
-    lag = config.lag
-    if lag:
-        window = WindowProjector(lag, config.m)
+    if config.lag:
+        pairs = window_projections(stream, config.w, config.m)
         scale, offset = 1.0, config.d
     else:
         kernel = mean_matrix(config.A).ravel()
+        pairs = zip(stream, repeat(kernel))
         scale, offset = 2.0, float(np.dot(kernel, kernel))
     statistic = 0.0
-    for g in stream:
-        if lag:
-            g = window.push(g)
-            if g is None:
-                continue
-            try:
-                kernel = window().ravel()
-            except (NumericalError, np.linalg.LinAlgError) as err:
-                raise NumericalError(f"window after t={g.t}: {err}") from err
+    for g, kernel in pairs:
         # tr(G K) for symmetric K is the entrywise dot; G need not be symmetric
         try:
-            inc = scale * float(np.dot(g.weights.ravel(), kernel)) - offset
+            inc = scale * float(np.dot(g.weights.ravel(), kernel.ravel())) - offset
         except ValueError:
             # only the exact kernel can mismatch: the window holds one shape
             raise ValueError(

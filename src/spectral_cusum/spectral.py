@@ -7,12 +7,13 @@ detection statistic uses.
 
 Both ways to that projector solve through one binding, LAPACKE_dsyevr_work
 from the OpenBLAS in numpy's wheel, with np.linalg.eigh as the fallback where
-that library or symbol is missing. WindowProjector is the detector's kernel:
-it holds the window, keeps a running window sum and solves in arrays it
-keeps from step to step. projector(estimate_subspace(window, m)), over the
-window's snapshots oldest first, is its slow, obvious twin, built from
-sliding_mean and top_m_eigs: the kernel gives its bits whenever it re-sums
-the window, and agrees with it within the running sum's rounding in between.
+that library or symbol is missing. window_projections is the detector's
+kernel: a generator that holds the window, keeps a running window sum and
+solves in arrays it keeps from step to step. projector(estimate_subspace(
+window, m)), over the window's snapshots oldest first, is its slow, obvious
+twin, built from sliding_mean and top_m_eigs: the kernel gives its bits
+whenever it re-sums the window, and agrees with it within the running sum's
+rounding in between.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -238,90 +239,74 @@ def projector(est: SpectralEstimate) -> np.ndarray:
 _RUNNING_ROOM = sys.float_info.max / 4
 
 
-class WindowProjector:
-    """The detector's windowed kernel: it holds the w most recent snapshots
-    and gives the rank-m projector onto the top-m eigenspace of their mean,
-    in arrays sized from the window's n at the first call and kept.
+def window_projections(
+    stream: Iterable[GraphSnapshot], w: int, m: int
+) -> Iterator[tuple[GraphSnapshot, np.ndarray]]:
+    """The detector's windowed kernel: yield each snapshot that a full
+    window of w pushes out, with the rank-m projector onto the top-m
+    eigenspace of the mean of the w snapshots after it. A stream of at most
+    w snapshots yields nothing.
 
-    push adds a snapshot and returns the one it pushes out of a full
-    window, the one to score. The call after that push adds the snapshot
-    that entered to the window sum it keeps and subtracts the one that
-    left. It re-sums the window left to right instead, as sliding_mean
-    does, on the first call, on the w-th call after each re-sum, after
-    other than one push since the last call, and whenever the largest
-    weights of the window and of the snapshot that left add up past a
-    quarter of the float range, where a sum could overflow (a NaN or
-    infinite weight included). A re-summed call gives the bits of
-    projector(estimate_subspace(window, m)); the w - 1 running calls after
-    it carry at most 2(w - 1) more roundings of the window's magnitudes. A
-    NumericalError is decided by the re-sum alone, as in sliding_mean,
-    since a running update is made only where neither sum can overflow. The
-    mean (acc + acc^T) / (2w) is bit-symmetric by construction, so only its
-    finiteness is checked. The solve is top_m_eigs' binding and fallback,
-    into kept arrays, and no sign is fixed: negating a column is exact, so
-    V V^T does not change.
+    From the first solve on it keeps a window sum and the solve's arrays;
+    each push adds the snapshot that entered to the sum and subtracts the
+    one that left. It re-sums the window left to right instead, as
+    sliding_mean does, on the first solve, on the w-th solve after each
+    re-sum, and whenever the largest weights of the window and of the
+    snapshot that left add up past a quarter of the float range, where a
+    sum could overflow (a NaN or infinite weight included). A re-summed
+    solve gives the bits of projector(estimate_subspace(window, m)); the
+    w - 1 running solves after it carry at most 2(w - 1) more roundings of
+    the window's magnitudes. Only a re-sum decides a non-finite mean, as in
+    sliding_mean, and only its finiteness is checked: (acc + acc^T) / (2w)
+    is bit-symmetric by construction. The solve is top_m_eigs' binding and
+    fallback, and no sign is fixed: negating a column leaves V V^T as is.
+
+    A snapshot of another shape than the window's raises ValueError at its
+    push, and an m outside 1..n at the first solve. A non-finite mean or a
+    failed solve raises NumericalError, naming the scored snapshot.
     """
-
-    def __init__(self, w: int, m: int):
-        if w < 1:
-            raise ValueError("window length must be at least 1")
-        self.w, self.m = int(w), m
-        self._window: deque[GraphSnapshot] = deque(maxlen=self.w)
-        # largest |weight| of the snapshot that last left and of the window
-        self._peaks: deque[float] = deque(maxlen=self.w + 1)
-        self._left: GraphSnapshot | None = None
-        # pushes since the last call; running updates left before a re-sum
-        self._pushes = self._runs = 0
-        self._solve: _TopPairs | None = None
-
-    def push(self, snapshot: GraphSnapshot) -> GraphSnapshot | None:
-        """Append a snapshot of the window's shape (else ValueError); return
-        the one it pushes out of a full window, or None while it fills."""
-        window = self._window
+    if w < 1:
+        raise ValueError("window length must be at least 1")
+    w = int(w)
+    window: deque[GraphSnapshot] = deque(maxlen=w)
+    # largest |weight| of the snapshot that last left and of the window
+    peaks: deque[float] = deque(maxlen=w + 1)
+    solve, runs = None, 0  # runs: running updates left before a re-sum
+    for snapshot in stream:
         if window and snapshot.weights.shape != window[0].weights.shape:
             raise ValueError(
                 f"snapshot has shape {snapshot.weights.shape}, "
                 f"window holds {window[0].weights.shape}"
             )
-        self._left = window[0] if len(window) == self.w else None
+        left = window[0] if len(window) == w else None
         window.append(snapshot)
-        self._peaks.append(float(np.abs(snapshot.weights).max(initial=0.0)))
-        self._pushes += 1
-        return self._left
-
-    def __call__(self) -> np.ndarray:
-        """Projector for the full window. A window not yet full, or at the
-        first call an m outside 1..n, raises ValueError, a non-finite mean
-        NumericalError and a failed solve np.linalg.LinAlgError."""
-        window, w = self._window, self.w
-        if len(window) < w:
-            raise ValueError(f"window not full: {len(window)} of {w} snapshots")
-        if self._solve is None:
-            n, m = window[0].n, self.m
+        peaks.append(float(np.abs(snapshot.weights).max(initial=0.0)))
+        if left is None:
+            continue
+        if solve is None:
+            n = snapshot.n
             if not 1 <= m <= n:
                 raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-            self._acc, self._top = np.empty((n, n)), np.empty((n, m))
-            self._solve = _TopPairs(n, m)
-        acc, mean = self._acc, self._solve.a
-        running = self._pushes == 1 and self._runs > 0 and sum(self._peaks) <= _RUNNING_ROOM
-        self._pushes = 0
+            solve = _TopPairs(n, m)
+            acc, top, mean = np.empty((n, n)), np.empty((n, m)), solve.a
+        running = runs > 0 and sum(peaks) <= _RUNNING_ROOM
         if running:
-            acc += window[-1].weights
-            acc -= self._left.weights
-            self._runs -= 1
+            acc += snapshot.weights
+            acc -= left.weights
+            runs -= 1
         else:
             snaps = iter(window)
             np.copyto(acc, next(snaps).weights)
             for snap in snaps:
                 acc += snap.weights
+            runs = w - 1
         np.add(acc, acc.T, out=mean)
         mean /= 2.0 * w
-        if not running:
-            self._runs = 0
-            if not np.isfinite(mean).all():
+        try:
+            if not running and not np.isfinite(mean).all():
                 raise NumericalError(_NON_FINITE)
-            self._runs = w - 1
-        _, vecs = self._solve()
-        top = self._top
+            _, vecs = solve()
+        except (NumericalError, np.linalg.LinAlgError) as err:
+            raise NumericalError(f"window after t={left.t}: {err}") from err
         np.copyto(top, vecs[:, ::-1])
-        return top @ top.T
+        yield left, top @ top.T

@@ -31,6 +31,7 @@ from spectral_cusum import (
     projector,
     rng_from_key,
     run_detector,
+    spectral,
     top_m_eigs,
 )
 
@@ -231,6 +232,47 @@ class TestRunDetector:
             res = run_detector(stream, DetectorConfig(method=EXACT, b=b, A=A21))
             stops.append(res.stop_time if res.stop_time is not None else np.inf)
         assert stops[0] <= stops[1] <= stops[2]
+
+
+@pytest.mark.usefixtures("solver")
+class TestKeptSolveArrays:
+    """A windowed statistic builds one _TopPairs, at its first solve, and
+    solves every later window in that object's arrays."""
+
+    CONFIG = DetectorConfig(method=SPECTRAL, b=math.inf, m=2, w=5)
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"built": 0, "calls": 0}
+        init, call = spectral._TopPairs.__init__, spectral._TopPairs.__call__
+
+        def counting_init(self, *args):
+            counts["built"] += 1
+            init(self, *args)
+
+        def counting_call(self):
+            counts["calls"] += 1
+            return call(self)
+
+        monkeypatch.setattr(spectral._TopPairs, "__init__", counting_init)
+        monkeypatch.setattr(spectral._TopPairs, "__call__", counting_call)
+        return counts
+
+    def test_one_solver_for_a_run(self, counts):
+        res = run_detector(degenerate_stream(30), self.CONFIG)
+        assert len(res.trajectory) == 25
+        assert counts == {"built": 1, "calls": 25}
+
+    def test_no_solver_before_a_snapshot_is_scored(self, counts):
+        assert run_detector(degenerate_stream(5), self.CONFIG).trajectory == []
+        assert counts == {"built": 0, "calls": 0}
+
+    def test_interleaved_generators_build_one_each(self, counts):
+        stream = degenerate_stream(30)
+        pairs = list(zip(iter_statistic(stream, self.CONFIG), iter_statistic(stream, self.CONFIG)))
+        assert len(pairs) == 25
+        assert all(first == second for first, second in pairs)
+        assert counts == {"built": 2, "calls": 50}
 
 
 def longhand_run(snaps, cfg, increments=None):
@@ -484,13 +526,10 @@ class TestRunDetectorMatchesTheLonghandLoop:
             run_detector(self.corner_stream(values), cfg)
 
     def test_eigensolver_failure_is_a_numerical_error(self, monkeypatch):
-        import spectral_cusum.detect as detect
+        def failing(self):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-        class Failing(detect.WindowProjector):
-            def __call__(self):
-                raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(detect, "WindowProjector", Failing)
+        monkeypatch.setattr(spectral._TopPairs, "__call__", failing)
         snaps = make_stream(self.scenario(SYMMETRIC))
         with pytest.raises(NumericalError, match="did not converge") as info:
             run_detector(snaps, self.config(SPECTRAL, math.inf))

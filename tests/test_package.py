@@ -25,3 +25,35 @@ def test_every_export_resolves():
 def test_exports_are_the_imported_names():
     assert len(set(spectral_cusum.__all__)) == len(spectral_cusum.__all__)
     assert set(spectral_cusum.__all__) == imported_names()
+
+
+def unused_imports(path: Path) -> list:
+    """Names a module's top-level imports bind that nothing in the module
+    reads, other than `from __future__` features and names imported on a
+    line marked `# noqa: F401`."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    name = alias.asname or alias.name.split(".")[0]
+                    bound[name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in bound.items() if name not in used]
+
+
+def test_every_module_import_is_used():
+    modules = sorted(Path(spectral_cusum.__file__).parent.glob("*.py"))
+    unused = [
+        entry
+        for path in modules
+        if path.name != "__init__.py"
+        for entry in unused_imports(path)
+    ]
+    assert len(modules) > 1
+    assert unused == []

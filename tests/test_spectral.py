@@ -16,7 +16,6 @@ from spectral_cusum import (
     GraphSnapshot,
     NumericalError,
     StreamScenario,
-    WindowProjector,
     assignment_from_sizes,
     build_indicator,
     estimate_subspace,
@@ -29,6 +28,7 @@ from spectral_cusum import (
     sliding_mean,
     spectral,
     top_m_eigs,
+    window_projections,
 )
 
 
@@ -41,22 +41,19 @@ def window_of(matrices):
     return [snap(m, t=t) for t, m in enumerate(matrices, start=1)]
 
 
-class TestWindowProjectorPush:
-    def test_push_returns_what_a_full_window_pushes_out_in_arrival_order(self):
-        window = WindowProjector(2, 1)
-        left = [window.push(snap(np.full((2, 2), float(t)), t=t)) for t in range(1, 8)]
-        assert left[:2] == [None, None]
-        assert [g.t for g in left[2:]] == [1, 2, 3, 4, 5]
+class TestWindowProjectionsPush:
+    def test_yields_what_a_full_window_pushes_out_in_arrival_order(self):
+        stream = [snap(np.full((2, 2), float(t)), t=t) for t in range(1, 8)]
+        assert [g.t for g, _ in window_projections(stream, 2, 1)] == [1, 2, 3, 4, 5]
 
     def test_rejects_a_window_length_below_one(self):
-        with pytest.raises(ValueError):
-            WindowProjector(0, 1)
+        with pytest.raises(ValueError, match="window length must be at least 1"):
+            next(window_projections([], 0, 1))
 
     def test_rejects_mismatched_node_counts(self):
-        window = WindowProjector(3, 1)
-        window.push(snap(np.zeros((2, 2))))
-        with pytest.raises(ValueError):
-            window.push(snap(np.zeros((3, 3))))
+        pairs = window_projections([snap(np.zeros((2, 2))), snap(np.zeros((3, 3)))], 3, 1)
+        with pytest.raises(ValueError, match=r"snapshot has shape \(3, 3\)"):
+            next(pairs)
 
     def test_rejects_a_shape_change_at_the_same_node_count(self):
         """Weights of shape (2, 2) and (2, 3) would both give n = 2; a
@@ -335,29 +332,26 @@ class TestSubspace:
 
 
 def check_against_twin(snaps, n, m, w):
-    """Push snaps into a WindowProjector and call it after every push that
-    pushes a snapshot out, as iter_statistic does, against a rolling deque
-    of the same snaps.
+    """Run window_projections over snaps, as iter_statistic does, against
+    the slow twin: the k-th yield must score snaps[k], with the projector
+    of snaps[k+1 : k+w+1].
 
-    On its first call and every w-th call after it the kernel must give
-    projector(estimate_subspace(buf, m)) bit for bit. In between, the two
-    may differ by at most (64 n + 4 w) eps max(1, S) / gap in Frobenius
+    On its first yield and every w-th yield after it the kernel must give
+    projector(estimate_subspace(window, m)) bit for bit. In between, the
+    two may differ by at most (64 n + 4 w) eps max(1, S) / gap in Frobenius
     norm, where S is the largest ||M||_F of the window means since the last
-    such call and gap is lambda_m - lambda_{m+1} of this window's mean M:
+    such yield and gap is lambda_m - lambda_{m+1} of this window's mean M:
     the solver tests' Davis-Kahan form, with 4 w eps for the running sum's
-    roundings. Returns, per call, whether the two agreed bit for bit.
+    roundings. Returns, per yield, whether the two agreed bit for bit.
     """
     eps = np.finfo(float).eps
-    project, buf = WindowProjector(w, m), deque(maxlen=w)
     same = []
-    for s in snaps:
-        buf.append(s)
-        if project.push(s) is None:
-            continue
-        got = project()
-        want = projector(estimate_subspace(buf, m))
-        mean = sliding_mean(buf)
-        if len(same) % w == 0:
+    for k, (scored, got) in enumerate(window_projections(snaps, w, m)):
+        assert scored is snaps[k]
+        window = snaps[k + 1 : k + w + 1]
+        want = projector(estimate_subspace(window, m))
+        mean = sliding_mean(window)
+        if k % w == 0:
             assert np.array_equal(got, want)
             scale = max(1.0, float(np.linalg.norm(mean)))
         else:
@@ -378,7 +372,7 @@ def noisy_block_stream(n, convention, key, horizon):
 
 
 @pytest.mark.usefixtures("solver")
-class TestWindowProjector:
+class TestWindowProjections:
     @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
     @pytest.mark.parametrize("m", [1, 2, 8, 12])
     @pytest.mark.parametrize("w", [1, 4])
@@ -410,57 +404,38 @@ class TestWindowProjector:
     @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
     @pytest.mark.parametrize("m", [1, 2, 8, 12])
     def test_matches_the_slow_twin_bit_for_bit(self, convention, m):
-        """A fresh kernel pushed a window's w + 1 snapshots re-sums its
-        window on its first call, so it gives projector(estimate_subspace(
-        window, m)) on every such window of 20 snapshots, at m = n = 12 and
-        at m = 8, where numpy 2.4.6's column-view negation broke the sign
-        fix the kernel no longer makes."""
+        """A fresh kernel over a window's w + 1 snapshots re-sums its window
+        on its first solve, so it gives projector(estimate_subspace(window,
+        m)) on every such window of 20 snapshots, at m = n = 12 and at
+        m = 8, where numpy 2.4.6's column-view negation broke the sign fix
+        the kernel no longer makes."""
         n, w = 12, 4
         mean = 2.0 * mean_matrix(build_indicator(assignment_from_sizes((4, 3, 2), n=n)))
         rng = rng_from_key(60, m)
         snaps = [sample_snapshot(mean, 0.8, convention, rng, t=t) for t in range(1, 21)]
         for k in range(len(snaps) - w):
-            project = WindowProjector(w, m)
-            for s in snaps[k : k + w + 1]:
-                project.push(s)
+            ((_, got),) = window_projections(snaps[k : k + w + 1], w, m)
             want = projector(estimate_subspace(snaps[k + 1 : k + w + 1], m))
-            assert np.array_equal(project(), want)
+            assert np.array_equal(got, want)
 
-    def test_re_sums_after_other_than_one_push_since_its_last_call(self):
-        """A running update needs the window the last call summed, so a
-        call after two pushes, or after none, re-sums and gives the twin's
-        bits."""
-        n, m, w = 12, 2, 4
-        snaps = noisy_block_stream(n, SYMMETRIC, (63,), 12)
-        project = WindowProjector(w, m)
-        for s in snaps[:5]:
-            project.push(s)
-        project()
-        project.push(snaps[5])
-        project.push(snaps[6])
-        want = projector(estimate_subspace(snaps[3:7], m))
-        assert np.array_equal(project(), want)
-        assert np.array_equal(project(), want)
-
-    def test_rejects_a_call_before_the_window_is_full(self):
-        project = WindowProjector(3, 1)
-        project.push(snap(np.eye(2)))
-        with pytest.raises(ValueError, match="window not full: 1 of 3"):
-            project()
+    def test_a_stream_of_at_most_w_snapshots_yields_nothing(self):
+        """Nothing is solved before a snapshot is pushed out, so even an m
+        above the node count raises nothing."""
+        for k in range(4):
+            stream = window_of([np.eye(2)] * k)
+            assert list(window_projections(stream, 3, 1)) == []
+            assert list(window_projections(stream, 3, 5)) == []
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_non_finite_window_is_a_numerical_error(self, bad):
         weights = np.zeros((3, 3))
         weights[0, 2] = bad
-        project = WindowProjector(2, 1)
-        for s in window_of([np.eye(3), weights]):
-            project.push(s)
-        with pytest.raises(NumericalError, match="non-finite"):
-            project()
+        pairs = window_projections(window_of([np.eye(3), weights, np.eye(3)]), 2, 1)
+        with pytest.raises(NumericalError, match="window after t=1: .*non-finite"):
+            next(pairs)
 
     def test_rejects_bad_m(self):
         for m in (0, 4):
-            project = WindowProjector(1, m)
-            project.push(snap(np.eye(3)))
+            pairs = window_projections(window_of([np.eye(3), np.eye(3)]), 1, m)
             with pytest.raises(ValueError, match="need 1 <= m <= n"):
-                project()
+                next(pairs)
