@@ -25,6 +25,7 @@ loop.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterable, Iterator
@@ -83,13 +84,25 @@ def cusum_maxform(increments: Iterable[float]) -> list[float]:
     return stats
 
 
+def _whole(name: str, value) -> int:
+    """value as an int, if it is an integer or an integral float; a bool or
+    any other value raises ValueError."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class DetectorConfig:
     """Configuration of one detector run.
 
     b is the alarm threshold (statistic >= b stops the run). The spectral and
     top1 methods need a window length w and a drift d; d defaults to m/2, the
-    midpoint of the admissible interval (0, m). The exact method needs the
+    midpoint of the admissible interval (0, m). Their m and w must be integral
+    (a bool is refused) and are stored as ints. The exact method needs the
     true indicator matrix A.
     """
 
@@ -111,6 +124,10 @@ class DetectorConfig:
             return
         if self.method == TOP1:
             object.__setattr__(self, "m", 1)
+        for name in ("m", "w"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _whole(name, value))
         if self.m is None or self.m < 1:
             raise ValueError("spectral method requires m >= 1")
         if self.w is None or self.w < 1:

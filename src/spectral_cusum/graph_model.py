@@ -138,7 +138,8 @@ def sample_snapshot(
     """Draw one snapshot with entrywise mean `mean` and noise level sigma.
 
     Under the "symmetric" convention the upper triangle (diagonal included)
-    is drawn independently and mirrored, so G = G^T holds bit-exactly. Under
+    is drawn independently and mirrored, so G = G^T holds bit-exactly at
+    every sigma; at sigma = 0, G is mean's upper triangle mirrored. Under
     "iid-full" all n^2 entries are drawn independently and no symmetry holds.
     A mean that is not finite, or so large that a draw 16 sigma from it
     could overflow (see _check_sigma), is refused before drawing.
@@ -169,6 +170,16 @@ def _triu_cache(n: int):
     return np.triu_indices(n)
 
 
+@lru_cache(maxsize=_CACHE_MAXSIZE)
+def _mirror(n: int) -> np.ndarray:
+    """Read-only: each n x n entry's position, row-major, in the _triu_cache(n) triangle."""
+    iu = _triu_cache(n)
+    pos = np.empty((n, n), np.intp)
+    pos[iu] = pos.T[iu] = np.arange(iu[0].size)
+    pos.flags.writeable = False
+    return pos.ravel()
+
+
 def _draw_block(runs, sigma, convention, rng) -> np.ndarray:
     """Weights of consecutive snapshots as one (k, n, n) block: runs holds
     (mean, count) pairs, and the block's rows are count snapshots about each
@@ -176,25 +187,21 @@ def _draw_block(runs, sigma, convention, rng) -> np.ndarray:
 
     The k rows' normal draws come from one 1-D standard_normal call and are
     used in row order; the generator fills them in sequence, so the block
-    holds the bits that k one-snapshot draws would. sigma = 0 draws nothing.
+    holds the bits that k one-snapshot draws would. sigma = 0 draws nothing:
+    the rows start from zeros, and are mirrored like the draws at any sigma.
     """
     n = runs[0][0].shape[0]
-    if sigma == 0:
-        return np.concatenate([np.broadcast_to(mean, (count, n, n)) for mean, count in runs])
     k = sum(count for _, count in runs)
     iu = _triu_cache(n) if convention == SYMMETRIC else None
     d = n * n if iu is None else iu[0].size
-    vals = sigma * rng.standard_normal(k * d).reshape(k, d)
+    vals = sigma * rng.standard_normal(k * d).reshape(k, d) if sigma else np.zeros((k, d))
     row = 0
     for mean, count in runs:
         vals[row : row + count] += mean.ravel() if iu is None else mean[iu]
         row += count
-    if iu is None:
-        return vals.reshape(k, n, n)
-    block = np.empty((k, n, n))
-    block[:, iu[0], iu[1]] = vals
-    block.transpose(0, 2, 1)[:, iu[0], iu[1]] = vals
-    return block
+    if iu is not None:
+        vals = vals.take(_mirror(n), axis=1)
+    return vals.reshape(k, n, n)
 
 
 def _block_rows(n: int) -> int:

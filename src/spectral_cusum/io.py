@@ -52,7 +52,7 @@ from typing import Iterator
 import numpy as np
 
 from .detect import DetectionResult
-from .graph_model import GraphSnapshot, _triu_cache
+from .graph_model import GraphSnapshot, _mirror, _triu_cache
 
 
 class StreamFormatError(ValueError):
@@ -333,14 +333,8 @@ def _check_order(t: int, n: int, prev: GraphSnapshot | None, where: str) -> None
 def _snapshot(t: int, n: int, key: str, arr: np.ndarray, where: str) -> GraphSnapshot:
     if not np.isfinite(arr).all():
         _fail(where, f'"{key}" contains a non-finite weight')
-    if key == "tri":
-        w = np.zeros((n, n))
-        iu = _triu_cache(n)
-        w[iu] = arr
-        w.T[iu] = arr
-    else:
-        w = arr.reshape(n, n)
-    return GraphSnapshot(t=t, weights=w)
+    w = arr.take(_mirror(n)) if key == "tri" else arr
+    return GraphSnapshot(t=t, weights=w.reshape(n, n))
 
 
 # The writer's tables (see the module docstring). A weight's token is built

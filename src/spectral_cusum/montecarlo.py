@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import repeat
@@ -26,6 +25,7 @@ from .graph_model import (
     SYMMETRIC,
     CommunityAssignment,
     StreamScenario,
+    _mirror,
     assignment_from_sizes,
     build_indicator,
     iter_stream,
@@ -101,15 +101,16 @@ def _exact_coefficients(assignment: CommunityAssignment, convention: str):
 
     Under either sampling convention the increment is a linear map of the
     step's Gaussian draws: z_t = 2 (base_t + sigma * (draws . coef)) - offset,
-    where base_t is 0 pre-change and tr((AA^T)^2) post-change. Cached, so the
-    returned coefficients are read-only.
+    where base_t is 0 pre-change and tr((AA^T)^2) post-change. The draws are
+    in graph_model._draw_block's order, in which a symmetric snapshot's
+    off-diagonal draw fills two entries of G. Cached, so the returned
+    coefficients are read-only.
     """
     mm = mean_matrix(build_indicator(assignment))
-    n = mm.shape[0]
     offset = float(np.dot(mm.ravel(), mm.ravel()))
     if convention == SYMMETRIC:
-        iu = np.triu_indices(n)
-        coef = mm[iu] * np.where(iu[0] == iu[1], 1.0, 2.0)
+        # a draw's coefficient is the sum of the AA^T entries it fills
+        coef = np.bincount(_mirror(len(mm)), weights=mm.ravel())
     else:
         coef = mm.ravel().copy()
     coef.flags.writeable = False
@@ -250,6 +251,9 @@ def _map_reps(fn, plan: McPlan, reps: range, workers: int) -> list:
     _check_workers(workers)
     if workers == 1:
         return [fn(plan, i) for i in reps]
+    # imported here, so a serial run never loads concurrent.futures and multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(reps) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, repeat(plan), reps, chunksize=chunksize))

@@ -157,6 +157,26 @@ class TestDetectorConfig:
         with pytest.raises(ValueError):
             DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=5, d=0.0)
 
+    @pytest.mark.parametrize("m, w", [(2, 5.5), (2, True), (2.5, 5), (True, 5), (2, "5")])
+    def test_m_and_w_must_be_integers(self, m, w):
+        """w = 5.5 ran on a 5-snapshot window and reported stop times of
+        t + 5.5; m = 2.5 got through to the kernel's bare TypeError."""
+        bad = w if m == 2 else m
+        with pytest.raises(ValueError, match=f"got {bad!r}"):
+            DetectorConfig(method=SPECTRAL, b=1.0, m=m, w=w)
+
+    def test_integral_m_and_w_are_stored_as_ints(self):
+        cfg = DetectorConfig(method=SPECTRAL, b=1.0, m=np.int64(2), w=5.0)
+        assert (cfg.m, cfg.w) == (2, 5) and type(cfg.m) is int and type(cfg.w) is int
+
+    def test_an_integral_float_window_alarms_at_an_int(self):
+        stream = make_stream(
+            StreamScenario(assignment_from_sizes((5, 3), n=20), sigma=1.0, tau=50, horizon=200, seed=7)
+        )
+        for w in (5, 5.0):
+            res = run_detector(stream, DetectorConfig(method=SPECTRAL, b=25.0, m=2, w=w))
+            assert res.stop_time == 61 and type(res.stop_time) is int
+
     def test_top1_forces_m_to_one(self):
         cfg = DetectorConfig(method=TOP1, b=1.0, m=7, w=5)
         assert cfg.m == 1

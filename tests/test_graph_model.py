@@ -146,6 +146,13 @@ class TestSampleSnapshot:
         snap = sample_snapshot(np.zeros((6, 6)), 1.0, SYMMETRIC, rng_from_key(3))
         assert np.array_equal(snap.weights, snap.weights.T)
 
+    def test_zero_noise_mirrors_the_upper_triangle(self):
+        """sigma = 0 returned an asymmetric mean as it was, though any
+        sigma > 0 mirrors the upper triangle."""
+        w = sample_snapshot(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, SYMMETRIC, rng_from_key(0)).weights
+        assert np.array_equal(w, w.T)
+        assert np.array_equal(w, [[0.0, 1.0], [1.0, 0.0]])
+
     def test_iid_full_convention_breaks_symmetry(self):
         snap = sample_snapshot(np.zeros((6, 6)), 1.0, IID_FULL, rng_from_key(3))
         assert not np.array_equal(snap.weights, snap.weights.T)
@@ -313,6 +320,17 @@ def one_draw_per_snapshot(scenario, rng, horizon):
             w = mean + scenario.sigma * rng.standard_normal((n, n))
         out.append((t, w))
     return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 20, 100])
+def test_mirror_is_the_triangle_scatter(n):
+    """_mirror(n) is where each matrix entry sits in the drawn triangle: a
+    scatter of the triangle's positions into both halves of the matrix."""
+    iu = np.triu_indices(n)
+    want = np.empty((n, n), np.intp)
+    want[iu] = np.arange(iu[0].size)
+    want.T[iu] = np.arange(iu[0].size)
+    assert np.array_equal(graph_model._mirror(n), want.ravel())
 
 
 def test_blocks_hold_sixteen_snapshots_at_n20_and_one_at_n100():

@@ -255,6 +255,22 @@ class TestExactEngineMatchesTheBlockAtATimeTwin:
                 for rep in range(8):
                     assert_matches_the_twin(plan, rep)
 
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    @pytest.mark.parametrize("sizes, n", [((2, 1), 3), ((6, 3), 20), ((30, 15), 100)])
+    def test_coefficients_are_the_hand_formula(self, convention, sizes, n):
+        """The engine reads its coefficients off graph_model's mirror map; the
+        twin's hand formula weights each symmetric off-diagonal draw by 2."""
+        a = assignment_from_sizes(sizes, n=n)
+        mm = mean_matrix(build_indicator(a))
+        if convention == SYMMETRIC:
+            iu = np.triu_indices(n)
+            want = mm[iu] * np.where(iu[0] == iu[1], 1.0, 2.0)
+        else:
+            want = mm.ravel()
+        coef, offset = montecarlo._exact_coefficients(a, convention)
+        assert np.array_equal(coef, want)
+        assert offset == float(np.dot(mm.ravel(), mm.ravel()))
+
 
 class CountingGenerator:
     """Delegates to a numpy Generator and records the rows of each 2-D

@@ -1,6 +1,9 @@
-"""Tests of the package's export list."""
+"""Tests of the package's export list and of what importing it loads."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import spectral_cusum
@@ -57,3 +60,15 @@ def test_every_module_import_is_used():
     ]
     assert len(modules) > 1
     assert unused == []
+
+
+def test_import_loads_no_process_pool():
+    """Only a run with workers > 1 needs the process pool, so importing the
+    package and its CLI loads neither concurrent.futures nor multiprocessing."""
+    code = (
+        "import sys, spectral_cusum, spectral_cusum.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'multiprocessing')))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(spectral_cusum.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
