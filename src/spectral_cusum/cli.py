@@ -269,18 +269,15 @@ def _build_detector(values: dict, b: float) -> DetectorConfig:
 
 def _build_plan(values: dict, flag: str, *targets: float) -> McPlan:
     """No-change Monte Carlo plan for calibrating to the largest of the
-    target run lengths, which the option named by flag gave.
-
-    The cap defaults to 20x that target. calibrate_threshold never reads
-    the detector's b (it starts at ln gamma), so b only has to be positive.
-    """
+    target run lengths, which the option named by flag gave. The cap
+    defaults to 20x that target."""
     if not all(math.isfinite(g) for g in targets):
         raise UsageError(f"{flag} must be finite, got {', '.join(map(str, targets))}")
     target = max(targets)
     cap = values["cap"] if values["cap"] is not None else max(10, math.ceil(20 * target))
     return McPlan(
         scenario=_build_scenario(values, tau=None, horizon=cap),
-        detector=_build_detector(values, b=max(math.log(max(target, 2.0)), 0.1)),
+        detector=_build_detector(values, b=math.inf),
         replications=values["reps"],
         cap=cap,
         master_seed=values["seed"],

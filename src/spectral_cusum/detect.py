@@ -28,7 +28,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -65,25 +65,6 @@ def cusum_update(prev: float, increment: float) -> float:
     return max(prev, 0.0) + increment
 
 
-def cusum_maxform(increments: Iterable[float]) -> list[float]:
-    """Brute-force max-form statistic: S_t = max over k <= t of sum(z_k..z_t).
-
-    Computed by scanning all candidate change points, independently of the
-    recursion, so it can serve as an oracle for the recursive form.
-    """
-    incs = [float(z) for z in increments]
-    stats = []
-    for t in range(1, len(incs) + 1):
-        best = -math.inf
-        acc = 0.0
-        for k in range(t - 1, -1, -1):
-            acc += incs[k]
-            if acc > best:
-                best = acc
-        stats.append(best)
-    return stats
-
-
 def _whole(name: str, value) -> int:
     """value as an int, if it is an integer or an integral float; a bool or
     any other value raises ValueError."""
@@ -100,10 +81,10 @@ class DetectorConfig:
     """Configuration of one detector run.
 
     b is the alarm threshold (statistic >= b stops the run). The spectral and
-    top1 methods need a window length w and a drift d; d defaults to m/2, the
-    midpoint of the admissible interval (0, m). Their m and w must be integral
-    (a bool is refused) and are stored as ints. The exact method needs the
-    true indicator matrix A.
+    top1 methods need a window length w and a finite drift d; d defaults to
+    m/2, the midpoint of the admissible interval (0, m). Their m and w must be
+    integral (a bool is refused) and are stored as ints. The exact method
+    needs the true indicator matrix A.
     """
 
     method: str
@@ -136,6 +117,8 @@ class DetectorConfig:
             object.__setattr__(self, "d", self.m / 2.0)
         if not self.d > 0:
             raise ValueError("drift d must be positive")
+        if not math.isfinite(self.d):
+            raise ValueError(f"drift d must be finite, got {self.d}")
 
     @property
     def lag(self) -> int:

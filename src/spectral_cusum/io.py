@@ -462,6 +462,18 @@ def _kept_places(low: np.ndarray, half: np.ndarray):
     return count, down[np.maximum(count - 1, 0), np.arange(low.size)], unsure
 
 
+def _write_table(path_or_file, header: tuple[str, ...], rows) -> int:
+    """Write CSV rows under a header row; returns the number of rows."""
+    with _opened(path_or_file, "w") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        count = 0
+        for row in rows:
+            writer.writerow(row)
+            count += 1
+        return count
+
+
 def write_trace(result: DetectionResult, path_or_file) -> int:
     """Emit a detection trace as CSV rows "t,statistic,alarmed".
 
@@ -469,47 +481,32 @@ def write_trace(result: DetectionResult, path_or_file) -> int:
     index plus window lag for the windowed methods); alarmed flags rows at or
     above the threshold.
     """
-    lag = result.config.lag
-    with _opened(path_or_file, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "statistic", "alarmed"])
-        for scored, stat in result.trajectory:
-            writer.writerow([scored + lag, repr(float(stat)), int(stat >= result.config.b)])
-        return len(result.trajectory)
+    lag, b = result.config.lag, result.config.b
+    rows = ((scored + lag, repr(float(stat)), int(stat >= b)) for scored, stat in result.trajectory)
+    return _write_table(path_or_file, ("t", "statistic", "alarmed"), rows)
 
 
 def write_oc(rows, path_or_file) -> int:
     """Emit an operating-characteristic table as CSV "gamma,b,edd,se"."""
-    with _opened(path_or_file, "w") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["gamma", "b", "edd", "se"])
-        count = 0
-        for row in rows:
-            writer.writerow(
-                [repr(float(row.gamma)), repr(float(row.b)), repr(float(row.edd)), repr(float(row.se))]
-            )
-            count += 1
-        return count
+    cells = ([repr(float(x)) for x in (row.gamma, row.b, row.edd, row.se)] for row in rows)
+    return _write_table(path_or_file, ("gamma", "b", "edd", "se"), cells)
 
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+def _numpy_to_json(value):
+    """json.dump's default hook: numpy arrays and scalars as lists and numbers."""
     if isinstance(value, np.ndarray):
-        return _jsonable(value.tolist())
+        return value.tolist()
     if isinstance(value, np.integer):
         return int(value)
     if isinstance(value, np.floating):
         return float(value)
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def write_report(report: dict, path_or_file) -> None:
-    """Emit a report dict as indented JSON."""
+    """Emit a report dict as indented JSON, numpy values as lists and numbers."""
     with _opened(path_or_file, "w") as fh:
-        json.dump(_jsonable(report), fh, indent=2)
+        json.dump(report, fh, indent=2, default=_numpy_to_json)
         fh.write("\n")
 
 

@@ -332,9 +332,15 @@ def theory_report(
         "edd_exact": edd_exact_approx(gamma, a, sigma),
     }
     validity: dict = {}
+    unmet = {"window_used": "no window available", "delta_star": "delta_star unavailable"}
 
-    def attempt(field: str, fn):
+    def attempt(field: str, fn, *needs: str):
+        """Set field to fn(), or to None with a reason: the first of the
+        fields it needs that is None, or fn's ValidityError."""
         try:
+            for need in needs:
+                if report[need] is None:
+                    raise ValidityError(unmet[need])
             value = fn()
         except ValidityError as err:
             report[field] = None
@@ -350,25 +356,15 @@ def theory_report(
     else:
         w_used = None if w_star is None else max(1, round(w_star))
     report["window_used"] = w_used
-
-    if w_used is None:
-        for field in ("delta_star", "d_star", "edd_spectral"):
-            report[field] = None
-            validity[field] = {"ok": False, "reason": "no window available"}
-    else:
-        w_int = round(w_used)
-        delta = attempt("delta_star", lambda: delta_star(m, c, w_int, sigma))
-        attempt("d_star", lambda: optimal_drift(w_used, m, c, sigma))
-        if delta is None:
-            report["edd_spectral"] = None
-            validity["edd_spectral"] = {"ok": False, "reason": "delta_star unavailable"}
-        else:
-            attempt(
-                "edd_spectral",
-                lambda: edd_spectral_approx(gamma, delta, m, c, w_int, sigma),
-            )
+    delta = attempt("delta_star", lambda: delta_star(m, c, round(w_used), sigma), "window_used")
+    attempt("d_star", lambda: optimal_drift(w_used, m, c, sigma), "window_used")
+    attempt(
+        "edd_spectral",
+        lambda: edd_spectral_approx(gamma, delta, m, c, round(w_used), sigma),
+        "window_used",
+        "delta_star",
+    )
     # edd_spectral is (ln gamma / delta*) / ((m - C/w^2) - d*) + w
-    delta = report["delta_star"]
     report["b_design"] = None if delta is None else math.log(gamma) / delta
     validity["b_design"] = dict(validity["delta_star"])
     attempt("ratio", lambda: optimality_ratio(gamma, m, c, n, sigma))

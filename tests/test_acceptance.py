@@ -45,7 +45,6 @@ from spectral_cusum import (
     build_indicator,
     calibrate_threshold,
     coupling_matrix,
-    cusum_maxform,
     cusum_update,
     delta_star,
     drift_for_delta,
@@ -63,9 +62,10 @@ from spectral_cusum import (
     rng_from_key,
     run_detector,
     spectrum_from_sizes,
-    top_m_eigs,
     verify_equalizer_mc,
 )
+from spectral_cusum.spectral import top_m_eigs
+from twins import cusum_maxform
 
 from dataclasses import replace
 

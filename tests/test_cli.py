@@ -152,6 +152,17 @@ class TestDetect:
         rows = read_csv_rows(trace)
         assert [r[0] for r in rows[1:]] == ["3", "4"]
 
+    def test_an_infinite_drift_is_refused_before_any_input_is_read(self, tmp_path, capsys):
+        """--d inf made every increment -inf: detect read w + 1 lines and
+        exited 3. The stream here is not JSON, so reading it would exit 3."""
+        stream = tmp_path / "stream.ndjson"
+        stream.write_text("not json\n")
+        trace = tmp_path / "trace.csv"
+        args = ["--method", "spectral", "--m", "2", "--window", "5", "--d", "inf"]
+        assert main(["detect", str(stream), *args, "--b", "5", "--out", str(trace)]) == 2
+        assert capsys.readouterr().err == "error: drift d must be finite, got inf\n"
+        assert not trace.exists()
+
     def test_no_alarm_is_reported_on_stderr(self, tmp_path, capsys):
         stream = simulate_degenerate(tmp_path)
         code = main(
@@ -639,6 +650,30 @@ class TestCalibrateAndBench:
         code = main(args + ["--method", "exact", "--reps", "20", "--out", str(out)])
         assert code == 2
         assert "sigma must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["--target", "10", "--sizes", "3,2", "--method", "spectral", "--m", "1", "--window", "10"],
+                "target run length is below the detector's minimum",
+            ),
+            (
+                ["--target", "20", "--sizes", "2,1", "--method", "exact", "--sigma", "1e30"],
+                "no threshold reaches the target run length",
+            ),
+        ],
+        ids=["below-minimum", "unreachable"],
+    )
+    def test_a_target_no_threshold_can_meet_exits_three(self, tmp_path, capsys, args, message):
+        """A window of 10 cannot alarm before t = 11, so no threshold brings
+        the run length down to 10. At sigma = 1e30 a path alarms at its first
+        positive increment at any threshold the doubling search reaches (up
+        to ln 20 * 2**80, about 4e24). 20 replications at the default seed 0."""
+        out = tmp_path / "cal.json"
+        assert main(["calibrate", *args, "--reps", "20", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_bench_emits_an_ordered_oc_table(self, tmp_path):

@@ -21,19 +21,18 @@ from spectral_cusum import (
     StreamScenario,
     assignment_from_sizes,
     build_indicator,
-    cusum_maxform,
     cusum_update,
     exact_increment,
     iter_statistic,
     iter_stream,
     make_stream,
     mean_matrix,
-    projector,
     rng_from_key,
     run_detector,
     spectral,
-    top_m_eigs,
 )
+from spectral_cusum.spectral import projector, top_m_eigs
+from twins import cusum_maxform
 
 A21 = build_indicator(assignment_from_sizes((2, 1)))
 G21 = mean_matrix(A21)
@@ -156,6 +155,20 @@ class TestDetectorConfig:
     def test_drift_must_be_positive(self):
         with pytest.raises(ValueError):
             DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=5, d=0.0)
+
+    @pytest.mark.parametrize(
+        "d, message",
+        [
+            (-math.inf, "drift d must be positive"),
+            (math.nan, "drift d must be positive"),
+            (math.inf, "drift d must be finite, got inf"),
+        ],
+    )
+    def test_drift_must_be_finite(self, d, message):
+        """An infinite drift made every increment -inf, refused only at the
+        first scored snapshot; d <= 0 and NaN keep their message."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DetectorConfig(method=SPECTRAL, b=1.0, m=2, w=5, d=d)
 
     @pytest.mark.parametrize("m, w", [(2, 5.5), (2, True), (2.5, 5), (True, 5), (2, "5")])
     def test_m_and_w_must_be_integers(self, m, w):

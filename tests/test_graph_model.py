@@ -22,8 +22,8 @@ from spectral_cusum import (
     rng_from_key,
     graph_model,
     sample_snapshot,
-    top_m_eigs,
 )
+from spectral_cusum.spectral import top_m_eigs
 
 
 def test_rng_from_key_is_reproducible():
@@ -81,6 +81,10 @@ class TestAssignment:
     def test_rejects_wrong_label_count(self):
         with pytest.raises(ValueError):
             CommunityAssignment(n=3, m=1, labels=(1, 1))
+
+    def test_rejects_more_communities_than_nodes(self):
+        with pytest.raises(ValueError, match="^need n >= m >= 0 and n >= 1, got n=2, m=3$"):
+            CommunityAssignment(n=2, m=3, labels=(1, 2))
 
 
 class TestIndicator:

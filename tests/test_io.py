@@ -191,6 +191,27 @@ class TestStreamErrors:
         with pytest.raises(StreamFormatError, match="line 2"):
             read_stream(path)
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("[1]", "expected a JSON object"),
+            ('{"t": "1", "n": 1, "tri": [0.0]}', '"t" must be an integer'),
+            ('{"t": true, "n": 1, "tri": [0.0]}', '"t" must be an integer'),
+            ('{"t": 1.5, "n": 1, "tri": [0.0]}', '"t" must be an integer'),
+            ('{"t": 2, "n": 0, "tri": []}', '"n" must be a positive integer'),
+            ('{"t": 2, "n": true, "tri": [0.0]}', '"n" must be a positive integer'),
+        ],
+        ids=["array", "t-string", "t-bool", "t-float", "n-zero", "n-bool"],
+    )
+    @pytest.mark.parametrize("reader", ["default", "json-only"])
+    def test_a_line_with_the_wrong_shape_names_its_file_and_line(self, tmp_path, line, message, reader):
+        path = tmp_path / "bad.ndjson"
+        path.write_text('{"t":1,"n":1,"tri":[0.5]}\n' + line + "\n")
+        with json_only() if reader == "json-only" else contextlib.nullcontext():
+            with pytest.raises(StreamFormatError) as err:
+                read_stream(path)
+        assert str(err.value) == f"{path}: line 2: {message}"
+
     @pytest.mark.parametrize("t2", [1, 0])
     def test_time_indices_must_increase(self, tmp_path, t2):
         path = tmp_path / "bad.ndjson"
@@ -708,6 +729,39 @@ class TestTraceAndReports:
             "gamma,b,edd,se",
             "50.0,4.5,3.25,0.125",
         ]
+
+    def test_report_bytes_for_numpy_values(self):
+        """numpy scalars and arrays, at any depth and inside tuples, are
+        written as the Python numbers and lists they hold; NaN and the
+        infinities as json writes them."""
+        report = {
+            "int64": np.int64(-7),
+            "float32": np.float32(0.1),
+            "float64": np.float64(1) / 3,
+            "longdouble": np.longdouble(2) / 3,
+            "vector": np.arange(2),
+            "matrix": np.array([[1.5, -0.0], [np.inf, 4.0]]),
+            "pair": (np.int32(1), (2.5, np.float64(-1e300))),
+            "nested": {"deeper": {"nan": np.float64("nan"), "list": [np.uint8(255), None, True]}},
+            "nan": math.nan,
+        }
+        buf = io.StringIO()
+        write_report(report, buf)
+        assert buf.getvalue() == (
+            '{\n  "int64": -7,\n  "float32": 0.10000000149011612,\n'
+            '  "float64": 0.3333333333333333,\n  "longdouble": 0.6666666666666666,\n'
+            '  "vector": [\n    0,\n    1\n  ],\n'
+            '  "matrix": [\n    [\n      1.5,\n      -0.0\n    ],\n    [\n      Infinity,\n      4.0\n    ]\n  ],\n'
+            '  "pair": [\n    1,\n    [\n      2.5,\n      -1e+300\n    ]\n  ],\n'
+            '  "nested": {\n    "deeper": {\n      "nan": NaN,\n'
+            '      "list": [\n        255,\n        null,\n        true\n      ]\n    }\n  },\n'
+            '  "nan": NaN\n}\n'
+        )
+
+    @pytest.mark.parametrize("value", [object(), {1, 2}], ids=["object", "set"])
+    def test_report_refuses_a_type_json_cannot_write(self, value):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_report({"x": [value]}, io.StringIO())
 
     def test_report_json_converts_numpy_scalars(self):
         buf = io.StringIO()

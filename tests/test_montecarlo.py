@@ -41,15 +41,14 @@ from spectral_cusum import (
     estimate_arl,
     estimate_drift_mc,
     estimate_edd,
-    estimate_subspace,
     iter_stream,
     mean_matrix,
     oc_curve,
-    projector,
     rng_from_key,
     run_detector,
     verify_equalizer_mc,
 )
+from spectral_cusum.spectral import estimate_subspace, projector
 from spectral_cusum import montecarlo
 from spectral_cusum.montecarlo import _CHUNK, _rep_alarm, _rep_path, _summarize
 
@@ -556,6 +555,37 @@ class TestCalibration:
         plan = McPlan(h0_scenario(tau=3), exact_detector(2.0), replications=50, cap=500)
         with pytest.raises(ValueError):
             calibrate_threshold(plan, 20.0)
+
+    @staticmethod
+    def confirm_with(monkeypatch, rewrite):
+        """Calibrate an exact plan (40 replications, cap 200, seed 1) to
+        gamma = 20 with the confirmation passes' alarm times rewritten by
+        rewrite; returns the start id of each pass run."""
+        starts = []
+        map_reps = montecarlo._map_reps
+
+        def spy(fn, plan, reps, workers):
+            starts.append(reps.start)
+            return rewrite(map_reps(fn, plan, reps, workers))
+
+        monkeypatch.setattr(montecarlo, "_map_reps", spy)
+        plan = McPlan(h0_scenario(), exact_detector(1.0), replications=40, cap=200, master_seed=1)
+        with pytest.raises(CalibrationError) as err:
+            calibrate_threshold(plan, 20.0, 0.1)
+        return starts, str(err.value)
+
+    def test_one_percent_of_confirmation_runs_at_cap_is_refused(self, monkeypatch):
+        """One run of 80 that never alarms is 1.25% truncated."""
+        starts, message = self.confirm_with(monkeypatch, lambda times: [None] + times[1:])
+        assert starts == [40]
+        assert message == "1 of 80 confirmation runs hit the cap: increase cap beyond 200"
+
+    def test_a_second_missed_confirmation_is_refused(self, monkeypatch):
+        """Both passes read a mean of 40 against the target 20: the retry
+        moves the threshold, and the second miss ends the search."""
+        starts, message = self.confirm_with(monkeypatch, lambda times: [40] * len(times))
+        assert starts == [40, 120]
+        assert message == "confirmation run length 40 missed the target 20.0 beyond rel_tol=0.1"
 
 
 def full_cap_probe(paths, b, lag, cap):

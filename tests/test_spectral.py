@@ -18,18 +18,15 @@ from spectral_cusum import (
     StreamScenario,
     assignment_from_sizes,
     build_indicator,
-    estimate_subspace,
     iter_stream,
     mean_matrix,
-    projector,
     rng_from_key,
     run_detector,
     sample_snapshot,
-    sliding_mean,
     spectral,
-    top_m_eigs,
     window_projections,
 )
+from spectral_cusum.spectral import estimate_subspace, projector, sliding_mean, top_m_eigs
 
 
 def snap(weights, t=1):

@@ -292,11 +292,12 @@ class TestOptimalDrift:
         assert optimal_drift(7.0, 2, 0.0, 0.0) == pytest.approx(1.0, rel=1e-12)
 
     def test_pole_and_below_pole_are_rejected(self):
-        w_pole = math.sqrt(24.0 / 2.0)
-        with pytest.raises(ValidityError):
-            optimal_drift(w_pole, 2, 24.0, 1.0)
-        with pytest.raises(ValidityError):
-            optimal_drift(w_pole * 0.9, 2, 24.0, 1.0)
+        """m w^2 = C exactly at m = 2, C = 32, w = 4: sqrt(24 / 2)**2 is
+        11.999999999999998, which missed the pole for the branch below it."""
+        with pytest.raises(ValidityError, match=r"^optimal drift undefined: m w\^2 equals C \(pole\)$"):
+            optimal_drift(4.0, 2, 32.0, 1.0)
+        with pytest.raises(ValidityError, match=r"inadmissible: m w\^2 = 8 is below C = 32 \(window too short\)"):
+            optimal_drift(2.0, 2, 32.0, 1.0)
 
     def test_diverges_just_above_the_pole(self):
         w = math.sqrt(24.0 / 2.0) * (1 + 1e-9)
@@ -320,6 +321,45 @@ class TestOptimalityRatio:
 
     def test_zero_nodes_gives_exactly_one(self):
         assert optimality_ratio(math.exp(8.0), 2, 24.0, 0, 0.25) == 1.0
+
+
+A21 = build_indicator(assignment_from_sizes((2, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: kl_info(A21, -1.0), "sigma must be positive"),
+        (lambda: edd_spectral_approx(1.0, 31.8, 2, 24.0, 50, 0.25), "gamma must exceed 1"),
+        (lambda: edd_exact_approx(0.5, A21, 1.0), "gamma must exceed 1"),
+        (lambda: optimal_window(1000.0, 2, 24.0, 0.0), "sigma must be positive"),
+        (lambda: optimal_window(1000.0, 2, -1.0, 0.25), "C must be nonnegative"),
+        (lambda: optimality_ratio(1.0, 2, 24.0, 3, 0.25), "gamma must exceed 1"),
+        (lambda: optimality_ratio(1000.0, 2, 24.0, -1, 0.25), "n must be nonnegative"),
+        (lambda: optimality_ratio(1000.0, 2, 24.0, 3, -0.25), "sigma must be positive"),
+        (
+            lambda: eigenvector_sampling_covariance(Spectrum((3.0, 2.0)), np.eye(3)[:, :1], 40, 1),
+            "need at least 2 eigenvector columns",
+        ),
+    ],
+    ids=[
+        "kl_info-sigma",
+        "edd_spectral-gamma",
+        "edd_exact-gamma",
+        "optimal_window-sigma",
+        "optimal_window-C",
+        "ratio-gamma",
+        "ratio-n",
+        "ratio-sigma",
+        "covariance-columns",
+    ],
+)
+def test_inputs_outside_a_formula_are_usage_errors(call, message):
+    """Each guard raises a plain ValueError (exit 2 at the CLI), not the
+    ValidityError of a formula evaluated outside its asymptotic regime."""
+    with pytest.raises(ValueError, match=f"^{message}$") as err:
+        call()
+    assert err.type is ValueError
 
 
 class TestEigenvectorSamplingCovariance:
