@@ -5,6 +5,8 @@ property tests check the calculus facts the formulas encode (inverse pairs,
 stationarity at the optimizers, bound tightness).
 """
 
+import hashlib
+import io
 import math
 
 import numpy as np
@@ -33,6 +35,7 @@ from spectral_cusum import (
     optimality_ratio,
     spectrum_from_sizes,
     theory_report,
+    write_report,
 )
 
 
@@ -503,3 +506,20 @@ class TestReport:
         with pytest.raises(ValueError, match="at least 1") as err:
             theory_report((12, 6), sigma=0.25, gamma=1000.0, window=window)
         assert not isinstance(err.value, ValidityError)
+
+
+@pytest.mark.parametrize(
+    "sizes, sigma, gamma, window, n, sha256",
+    [
+        ((5, 3), 0.5, 200.0, None, 10, "b966398545d8df05ebf943e9164ee8f44805cc6e4d8fb6d34172d78203c146e0"),
+        ((2,), 1.0, 50.0, 4, 4, "912cb207d3778dbd6bbfaf053e4210d87fb74d32b836bf484e0fec70dd012d3c"),
+    ],
+    ids=["sizes-5-3-n10", "sizes-2-n4-window4"],
+)
+def test_report_bytes_are_pinned(sizes, sigma, gamma, window, n, sha256):
+    """The written report, byte for byte, with background nodes (n above the
+    sum of sizes), an optimal window rounded to the int 8, and an explicit
+    window written as the float 4.0."""
+    out = io.StringIO()
+    write_report(theory_report(sizes, sigma, gamma, window=window, n=n), out)
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == sha256
