@@ -301,8 +301,17 @@ def _cmd_detect(ns: argparse.Namespace) -> int:
     pulled = 0
 
     def counted(snapshots):
+        # a windowed alarm is reported at the scored t + w, the arrival t only
+        # where t steps by 1
         nonlocal pulled
+        prev = None
         for snap in snapshots:
+            if detector.lag and prev is not None and snap.t != prev + 1:
+                raise StreamFormatError(
+                    f"{v['input']}: t={snap.t} follows t={prev}; the {detector.method} "
+                    "method needs t to step by 1"
+                )
+            prev = snap.t
             pulled += 1
             yield snap
 

@@ -25,14 +25,13 @@ loop.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Iterator
 
 import numpy as np
 
-from .graph_model import GraphSnapshot, IndicatorMatrix, mean_matrix
+from .graph_model import GraphSnapshot, IndicatorMatrix, _whole, mean_matrix
 from .spectral import (
     NumericalError,
     estimate_subspace,  # noqa: F401  unused; perfbench's tracer wraps detect.estimate_subspace
@@ -63,17 +62,6 @@ def exact_increment(g: GraphSnapshot, a: IndicatorMatrix) -> float:
 def cusum_update(prev: float, increment: float) -> float:
     """One step of the clamped recursion: max(prev, 0) + increment."""
     return max(prev, 0.0) + increment
-
-
-def _whole(name: str, value) -> int:
-    """value as an int, if it is an integer or an integral float; a bool or
-    any other value raises ValueError."""
-    if isinstance(value, bool) or not (
-        isinstance(value, numbers.Integral)
-        or isinstance(value, numbers.Real) and float(value).is_integer()
-    ):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -184,10 +172,13 @@ def run_detector(stream, config: DetectorConfig) -> DetectionResult:
     """Run one detector over a snapshot stream until alarm or exhaustion.
 
     The stream may be any iterable of snapshots; none past the alarm is
-    consumed, so a stream cut to length bounds the run. Spectral/top1 runs
-    shorter than w+1 snapshots score nothing and return an empty trajectory
-    with no alarm. The statistic is iter_statistic's, so its NumericalError
-    on data that overflows or goes non-finite propagates from here.
+    consumed, so a stream cut to length bounds the run. stop_time is the
+    scored t + config.lag: the t of the snapshot whose arrival raised the
+    alarm where t steps by 1, and for the exact method, whose lag is 0, at
+    any t. Spectral/top1 runs shorter than w+1 snapshots score nothing and
+    return an empty trajectory with no alarm. The statistic is
+    iter_statistic's, so its NumericalError on data that overflows or goes
+    non-finite propagates from here.
     """
     lag = config.lag
     b = config.b

@@ -9,14 +9,13 @@ nonzero eigenvalues of AA^T.
 
 from __future__ import annotations
 
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
-
-BACKGROUND = "background"
 
 SYMMETRIC = "symmetric"
 IID_FULL = "iid-full"
@@ -35,57 +34,50 @@ def rng_from_key(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _whole(name: str, value) -> int:
+    """value as an int, if it is an integer or an integral float; a bool or
+    any other value raises ValueError."""
+    if isinstance(value, bool) or not (
+        isinstance(value, numbers.Integral)
+        or isinstance(value, numbers.Real) and float(value).is_integer()
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class CommunityAssignment:
-    """Per-node labels: community ids in 1..m, or BACKGROUND for unattached nodes.
+    """Communities by size on n nodes: the first sizes[0] nodes are community
+    1, the next sizes[1] community 2, and so on; the rest are background.
+    Sizes and n must be integral (a bool is refused) and are stored as ints."""
 
-    Every community id must be used at least once; communities are disjoint
-    because each node carries exactly one label.
-    """
-
+    sizes: tuple[int, ...]
     n: int
-    m: int
-    labels: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if self.n < 1 or self.m < 0 or self.n < self.m:
-            raise ValueError(f"need n >= m >= 0 and n >= 1, got n={self.n}, m={self.m}")
-        if len(self.labels) != self.n:
-            raise ValueError(f"expected {self.n} labels, got {len(self.labels)}")
-        seen = set()
-        for lab in self.labels:
-            if lab == BACKGROUND:
-                continue
-            if not isinstance(lab, (int, np.integer)) or not 1 <= lab <= self.m:
-                raise ValueError(f"label {lab!r} is not in 1..{self.m} or background")
-            seen.add(int(lab))
-        missing = set(range(1, self.m + 1)) - seen
-        if missing:
-            raise ValueError(f"empty communities: {sorted(missing)}")
+        sizes = tuple(_whole("community size", s) for s in self.sizes)
+        if any(s < 1 for s in sizes):
+            raise ValueError("community sizes must be positive integers")
+        n = _whole("n", self.n)
+        if n < sum(sizes):
+            raise ValueError(f"n={n} is smaller than the sum of sizes {sum(sizes)}")
+        if n < 1:
+            raise ValueError(f"n must be at least 1, got {n}")
+        object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "n", n)
+
+    @property
+    def m(self) -> int:
+        return len(self.sizes)
 
 
 def assignment_from_sizes(sizes: Sequence[int], n: int | None = None) -> CommunityAssignment:
-    """Assignment with the first size_1 nodes in community 1, the next size_2
-    in community 2, and so on; any remaining nodes are background.
-
-    Empty sizes with an explicit n gives an all-background assignment (useful
-    for pure-noise scenarios)."""
-    sizes = [int(s) for s in sizes]
-    if any(s < 1 for s in sizes):
-        raise ValueError("community sizes must be positive integers")
-    if not sizes and n is None:
+    """Assignment of the given sizes on n nodes, n defaulting to their sum;
+    empty sizes need an explicit n, for an all-background (pure-noise) one."""
+    if n is None and not sizes:
         raise ValueError("an all-background assignment needs an explicit n")
-    total = sum(sizes)
-    if n is None:
-        n = total
-    if n < total:
-        raise ValueError(f"n={n} is smaller than the sum of sizes {total}")
-    labels: list = []
-    for k, s in enumerate(sizes, start=1):
-        labels.extend([k] * s)
-    labels.extend([BACKGROUND] * (n - total))
-    return CommunityAssignment(n=n, m=len(sizes), labels=tuple(labels))
+    sizes = tuple(_whole("community size", s) for s in sizes)
+    return CommunityAssignment(sizes=sizes, n=sum(sizes) if n is None else n)
 
 
 @dataclass(frozen=True)
@@ -98,11 +90,9 @@ class IndicatorMatrix:
 
 def build_indicator(assignment: CommunityAssignment) -> IndicatorMatrix:
     """Build the n x m indicator matrix: row i is one-hot at node i's community."""
-    a = np.zeros((assignment.n, assignment.m))
-    for i, lab in enumerate(assignment.labels):
-        if lab != BACKGROUND:
-            a[i, int(lab) - 1] = 1.0
-    sizes = tuple(int(s) for s in a.sum(axis=0))
+    sizes = assignment.sizes
+    a = np.zeros((assignment.n, len(sizes)))
+    a[np.arange(sum(sizes)), np.repeat(np.arange(len(sizes)), sizes)] = 1.0
     return IndicatorMatrix(entries=a, sizes=sizes)
 
 
@@ -217,6 +207,8 @@ class StreamScenario:
     tau is the change point: snapshots 1..tau are pre-change (zero mean),
     snapshots tau+1..horizon are post-change (mean AA^T). tau=None means the
     change never happens; tau=0 means every snapshot is post-change.
+    horizon and tau must be integral (a bool is refused) and are stored as
+    ints.
     """
 
     assignment: CommunityAssignment
@@ -228,6 +220,9 @@ class StreamScenario:
 
     def __post_init__(self):
         _check_sigma(self.sigma)
+        object.__setattr__(self, "horizon", _whole("horizon", self.horizon))
+        if self.tau is not None:
+            object.__setattr__(self, "tau", _whole("tau", self.tau))
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
         if self.tau is not None and self.tau < 0:

@@ -26,6 +26,7 @@ from .graph_model import (
     CommunityAssignment,
     StreamScenario,
     _mirror,
+    _whole,
     assignment_from_sizes,
     build_indicator,
     iter_stream,
@@ -46,8 +47,10 @@ class McPlan:
     The scenario's own seed is a template field: replication i draws from the
     generator keyed by (master_seed, i) instead. cap bounds the steps of one
     replication; runs that reach it without alarming are reported as truncated,
-    never averaged in as if they had alarmed at cap. An exact detector must
-    have the scenario's AA^T: the engine simulates the scenario's oracle.
+    never averaged in as if they had alarmed at cap. replications and cap
+    must be integral (a bool is refused) and are stored as ints. An exact
+    detector must have the scenario's AA^T: the engine simulates the
+    scenario's oracle.
     """
 
     scenario: StreamScenario
@@ -57,6 +60,8 @@ class McPlan:
     master_seed: int = 0
 
     def __post_init__(self):
+        for name in ("replications", "cap"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.cap < 1:

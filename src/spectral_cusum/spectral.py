@@ -30,7 +30,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .graph_model import _CACHE_MAXSIZE, GraphSnapshot
+from .graph_model import _CACHE_MAXSIZE, GraphSnapshot, _whole
 
 ASYMMETRY_TOL = 1e-9
 
@@ -261,13 +261,14 @@ def window_projections(
     is bit-symmetric by construction. The solve is top_m_eigs' binding and
     fallback, and no sign is fixed: negating a column leaves V V^T as is.
 
-    A snapshot of another shape than the window's raises ValueError at its
-    push, and an m outside 1..n at the first solve. A non-finite mean or a
-    failed solve raises NumericalError, naming the scored snapshot.
+    A w or m that is not an integer raises ValueError at the first pull, a
+    snapshot of another shape than the window's at its push, and an m
+    outside 1..n at the first solve. A non-finite mean or a failed solve
+    raises NumericalError, naming the scored snapshot.
     """
+    w, m = _whole("w", w), _whole("m", m)
     if w < 1:
         raise ValueError("window length must be at least 1")
-    w = int(w)
     window: deque[GraphSnapshot] = deque(maxlen=w)
     # largest |weight| of the snapshot that last left and of the window
     peaks: deque[float] = deque(maxlen=w + 1)

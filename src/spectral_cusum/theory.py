@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph_model import IndicatorMatrix, assignment_from_sizes, build_indicator
+from .graph_model import CommunityAssignment, IndicatorMatrix, _whole, assignment_from_sizes
 
 
 class ValidityError(ValueError):
@@ -56,7 +56,7 @@ def spectrum_from_sizes(sizes: Sequence[int]) -> Spectrum:
     Repeated sizes are rejected: the closed forms need distinct eigenvalues.
     (The simulator itself accepts repeated sizes; only this layer refuses.)
     """
-    sizes = [int(s) for s in sizes]
+    sizes = [_whole("community size", s) for s in sizes]
     if any(s < 1 for s in sizes):
         raise ValueError("community sizes must be positive")
     if len(set(sizes)) != len(sizes):
@@ -112,9 +112,9 @@ def expected_drift_post(m: int, c: float, w: int) -> float:
     return m - c / (w * w)
 
 
-def kl_info(a: IndicatorMatrix, sigma: float) -> float:
+def kl_info(a: CommunityAssignment | IndicatorMatrix, sigma: float) -> float:
     """Kullback-Leibler information per snapshot: sum of squared community
-    sizes over 2 sigma^2.
+    sizes over 2 sigma^2. Only a.sizes is read.
 
     This is the information of an iid-full snapshot. A symmetric snapshot
     carries each off-diagonal pair once, so its information is smaller.
@@ -188,9 +188,9 @@ def edd_at_optimal_tilt(gamma: float, m: int, c: float, w: float, sigma: float) 
     return edd_spectral_approx(gamma, delta_star(m, c, w, sigma), m, c, w, sigma)
 
 
-def edd_exact_approx(gamma: float, a: IndicatorMatrix, sigma: float) -> float:
+def edd_exact_approx(gamma: float, a: CommunityAssignment | IndicatorMatrix, sigma: float) -> float:
     """First-order expected detection delay of the exact-oracle detector:
-    2 sigma^2 ln(gamma) / sum of squared community sizes.
+    2 sigma^2 ln(gamma) / sum of squared community sizes. Only a.sizes is read.
 
     This is ln(gamma) / kl_info, which holds for iid-full snapshots, where
     the oracle's increment is 2 sigma^2 times the log-likelihood ratio. Under
@@ -305,26 +305,26 @@ def theory_report(
     the "validity" map; a degenerate spectrum makes nothing computable and
     raises instead. b_design, the threshold ln(gamma) / delta_star, shares
     delta_star's validity. A non-finite sigma or gamma, or an explicit
-    window below 1, is a usage error.
+    window that is not an integer of at least 1, is a usage error.
     """
     for name, value in (("sigma", sigma), ("gamma", gamma)):
         if not math.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
-    if window is not None and not window >= 1:
-        raise ValueError(f"window length must be at least 1, got {window}")
+    if window is not None:
+        window = _whole("window", window)
+        if window < 1:
+            raise ValueError(f"window length must be at least 1, got {window}")
     spec = spectrum_from_sizes(sizes)
     coupling = coupling_matrix(spec)
     c = bias_constant(coupling)
     m = spec.m
-    if n is None:
-        n = sum(int(s) for s in sizes)
-    a = build_indicator(assignment_from_sizes(sizes, n=n))
+    a = assignment_from_sizes(sizes, n=n)
 
     report: dict = {
-        "sizes": [int(s) for s in sizes],
+        "sizes": list(a.sizes),
         "sigma": float(sigma),
         "gamma": float(gamma),
-        "n": int(n),
+        "n": a.n,
         "lambda": list(spec.eigenvalues),
         "M": coupling.tolist(),
         "C": c,
@@ -356,17 +356,17 @@ def theory_report(
     else:
         w_used = None if w_star is None else max(1, round(w_star))
     report["window_used"] = w_used
-    delta = attempt("delta_star", lambda: delta_star(m, c, round(w_used), sigma), "window_used")
+    delta = attempt("delta_star", lambda: delta_star(m, c, w_used, sigma), "window_used")
     attempt("d_star", lambda: optimal_drift(w_used, m, c, sigma), "window_used")
     attempt(
         "edd_spectral",
-        lambda: edd_spectral_approx(gamma, delta, m, c, round(w_used), sigma),
+        lambda: edd_spectral_approx(gamma, delta, m, c, w_used, sigma),
         "window_used",
         "delta_star",
     )
     # edd_spectral is (ln gamma / delta*) / ((m - C/w^2) - d*) + w
     report["b_design"] = None if delta is None else math.log(gamma) / delta
     validity["b_design"] = dict(validity["delta_star"])
-    attempt("ratio", lambda: optimality_ratio(gamma, m, c, n, sigma))
+    attempt("ratio", lambda: optimality_ratio(gamma, m, c, a.n, sigma))
     report["validity"] = validity
     return report

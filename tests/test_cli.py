@@ -13,6 +13,7 @@ import re
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from spectral_cusum import (
     METHODS,
     TOP1,
     DetectorConfig,
+    GraphSnapshot,
     StreamScenario,
     assignment_from_sizes,
     build_indicator,
@@ -476,6 +478,49 @@ class TestStreamingDetect:
             assert err.getvalue() == f"no alarm in {len(snapshots)} snapshots\n"
         else:
             assert err.getvalue() == f"alarm at t={want.stop_time}\n"
+
+    @staticmethod
+    def write_times(path, times):
+        write_stream([GraphSnapshot(t=t, weights=2.0 * np.eye(2)) for t in times], path)
+
+    @pytest.mark.parametrize(
+        "method, flags", [("spectral", ["--m", "1", "--window", "2"]), ("top1", ["--window", "2"])]
+    )
+    def test_windowed_methods_refuse_a_t_that_skips(self, tmp_path, capsys, method, flags):
+        """A windowed alarm is reported at the scored t + w, which is the
+        arrival t only where t steps by 1: on t = 1, 50, 51, 52, 53 the
+        alarm raised when t = 51 arrived was reported at t = 3."""
+        path = tmp_path / "gap.ndjson"
+        self.write_times(path, (1, 50, 51, 52, 53))
+        code = main(["detect", str(path), "--method", method, *flags, "--b", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {path}: t=50 follows t=1; the {method} method needs t to step by 1\n"
+        )
+
+    def test_windowed_methods_take_consecutive_t_from_any_start(self, tmp_path, capsys):
+        path = tmp_path / "late.ndjson"
+        self.write_times(path, range(5, 10))
+        code = main(["detect", str(path), "--method", "spectral", "--m", "1", "--window", "2",
+                     "--b", "1"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "alarm at t=7\n"
+        assert captured.out.splitlines()[1:] == ["7,1.5,1"]
+
+    def test_the_exact_method_keeps_a_t_that_skips(self, tmp_path, capsys):
+        """The exact method scores each snapshot on arrival, so its times are
+        the stream's own."""
+        path = tmp_path / "gap.ndjson"
+        self.write_times(path, (1, 50, 51, 52, 53))
+        code = main(["detect", str(path), "--method", "exact", "--sizes", "1", "--nodes", "2",
+                     "--b", "1e9"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err == "no alarm in 5 snapshots\n"
+        assert [row.split(",")[0] for row in captured.out.splitlines()[1:]] == [
+            "1", "50", "51", "52", "53"
+        ]
 
     def test_peak_memory_does_not_grow_with_the_stream(self, tmp_path):
         """Ten times the snapshots (n = 40, no alarm) must not raise the

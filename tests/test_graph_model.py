@@ -1,6 +1,7 @@
 """Tests for community assignments, indicator matrices, and snapshot streams."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spectral_cusum import (
-    BACKGROUND,
     IID_FULL,
     SYMMETRIC,
     CommunityAssignment,
@@ -24,6 +24,7 @@ from spectral_cusum import (
     sample_snapshot,
 )
 from spectral_cusum.spectral import top_m_eigs
+from twins import indicator_from_labels
 
 
 def test_rng_from_key_is_reproducible():
@@ -47,59 +48,91 @@ def test_rng_key_wraps_modulo_64_bits():
 class TestAssignment:
     def test_from_sizes_layout(self):
         asg = assignment_from_sizes((2, 1))
-        assert asg.n == 3
+        assert asg == CommunityAssignment(sizes=(2, 1), n=3)
         assert asg.m == 2
-        assert asg.labels == (1, 1, 2)
 
     def test_from_sizes_with_background(self):
         asg = assignment_from_sizes((2, 1), n=5)
-        assert asg.labels == (1, 1, 2, BACKGROUND, BACKGROUND)
+        assert (asg.sizes, asg.n, asg.m) == ((2, 1), 5, 2)
 
     def test_all_background_needs_explicit_n(self):
         asg = assignment_from_sizes((), n=4)
-        assert asg.m == 0
-        assert asg.labels == (BACKGROUND,) * 4
-        with pytest.raises(ValueError):
+        assert (asg.sizes, asg.n, asg.m) == ((), 4, 0)
+        with pytest.raises(ValueError, match="^an all-background assignment needs an explicit n$"):
             assignment_from_sizes(())
 
     def test_rejects_nonpositive_sizes(self):
-        with pytest.raises(ValueError):
-            assignment_from_sizes((2, 0))
+        for n in (None, 5):
+            with pytest.raises(ValueError, match="^community sizes must be positive integers$"):
+                assignment_from_sizes((2, 0), n=n)
 
     def test_rejects_n_smaller_than_total(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^n=3 is smaller than the sum of sizes 4$"):
             assignment_from_sizes((2, 2), n=3)
+        with pytest.raises(ValueError, match="^n=0 is smaller than the sum of sizes 1$"):
+            CommunityAssignment(sizes=(1,), n=0)
 
-    def test_rejects_empty_community(self):
-        with pytest.raises(ValueError, match="empty"):
-            CommunityAssignment(n=3, m=2, labels=(1, 1, 1))
+    def test_rejects_n_below_one(self):
+        """Without communities n = 0 is not smaller than the sum of sizes;
+        a negative n still is, and keeps that message."""
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
+            assignment_from_sizes((), n=0)
+        with pytest.raises(ValueError, match="^n=-2 is smaller than the sum of sizes 0$"):
+            assignment_from_sizes((), n=-2)
 
-    def test_rejects_out_of_range_label(self):
-        with pytest.raises(ValueError):
-            CommunityAssignment(n=2, m=1, labels=(1, 3))
+    @pytest.mark.parametrize("sizes, n", [((2.7, 1), None), ((2.7, 1), 4), ((2, True), 4), (("2", 1), 4)])
+    def test_rejects_a_size_that_is_not_an_integer(self, sizes, n):
+        """(2.7, 1) silently became (2, 1)."""
+        bad = next(s for s in sizes if type(s) is not int)
+        with pytest.raises(ValueError, match=re.escape(f"community size must be an integer, got {bad!r}")):
+            assignment_from_sizes(sizes, n=n)
 
-    def test_rejects_wrong_label_count(self):
-        with pytest.raises(ValueError):
-            CommunityAssignment(n=3, m=1, labels=(1, 1))
+    @pytest.mark.parametrize("n", [4.5, True, "4", None])
+    def test_rejects_an_n_that_is_not_an_integer(self, n):
+        with pytest.raises(ValueError, match=re.escape(f"n must be an integer, got {n!r}")):
+            CommunityAssignment(sizes=(2, 1), n=n)
 
-    def test_rejects_more_communities_than_nodes(self):
-        with pytest.raises(ValueError, match="^need n >= m >= 0 and n >= 1, got n=2, m=3$"):
-            CommunityAssignment(n=2, m=3, labels=(1, 2))
+    def test_stores_integral_sizes_and_n_as_ints(self):
+        asg = CommunityAssignment(sizes=[np.int64(2), 1.0], n=np.int32(5))
+        assert asg == CommunityAssignment(sizes=(2, 1), n=5)
+        assert all(type(v) is int for v in (*asg.sizes, asg.n))
+        assert hash(asg) == hash(CommunityAssignment(sizes=(2, 1), n=5))
 
 
 class TestIndicator:
     def test_two_communities(self):
-        a = build_indicator(CommunityAssignment(n=3, m=2, labels=(1, 1, 2)))
+        a = build_indicator(CommunityAssignment(sizes=(2, 1), n=3))
         np.testing.assert_array_equal(a.entries, [[1, 0], [1, 0], [0, 1]])
         assert a.sizes == (2, 1)
 
     def test_single_node(self):
-        a = build_indicator(CommunityAssignment(n=1, m=1, labels=(1,)))
+        a = build_indicator(CommunityAssignment(sizes=(1,), n=1))
         np.testing.assert_array_equal(a.entries, [[1.0]])
 
     def test_background_row_is_zero(self):
-        a = build_indicator(CommunityAssignment(n=3, m=2, labels=(1, BACKGROUND, 2)))
-        np.testing.assert_array_equal(a.entries, [[1, 0], [0, 0], [0, 1]])
+        a = build_indicator(CommunityAssignment(sizes=(1, 1), n=3))
+        np.testing.assert_array_equal(a.entries, [[1, 0], [0, 1], [0, 0]])
+
+    @pytest.mark.parametrize(
+        "sizes, n",
+        [
+            (sizes, sum(sizes) + extra)
+            for sizes in [(), (1,), (2, 1), (3, 2, 1), (1, 1, 1), (12, 6), (30, 15)]
+            for extra in (0, 1, 7)
+            if sum(sizes) + extra >= 1
+        ],
+        ids=str,
+    )
+    def test_matches_the_label_loop_bit_for_bit(self, sizes, n):
+        """The vectorized index gives the entries and sizes of the label
+        loop it replaced, with and without background nodes."""
+        a = build_indicator(CommunityAssignment(sizes=sizes, n=n))
+        entries, twin_sizes = indicator_from_labels(sizes, n)
+        assert a.entries.dtype == entries.dtype and a.entries.shape == entries.shape
+        assert a.entries.tobytes() == entries.tobytes()
+        assert a.sizes == twin_sizes
+        mm = mean_matrix(a)
+        assert mm.tobytes() == (entries @ entries.T).tobytes()
 
     def test_mean_matrix_blocks(self):
         a = build_indicator(assignment_from_sizes((2, 1)))
@@ -301,6 +334,18 @@ class TestStream:
             self.scenario(tau=-1)
         with pytest.raises(ValueError):
             self.scenario(convention="lower")
+
+    @pytest.mark.parametrize(
+        "field, value", [("horizon", 5.5), ("horizon", True), ("tau", 2.5), ("tau", False)]
+    )
+    def test_rejects_a_time_that_is_not_an_integer(self, field, value):
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            self.scenario(**{field: value})
+
+    def test_stores_integral_times_as_ints(self):
+        sc = self.scenario(horizon=5.0, tau=np.int64(2))
+        assert (sc.horizon, sc.tau) == (5, 2)
+        assert type(sc.horizon) is int and type(sc.tau) is int
 
 
 def one_draw_per_snapshot(scenario, rng, horizon):

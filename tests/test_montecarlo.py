@@ -11,6 +11,7 @@ That is what makes the remaining statistical tests meaningful.
 """
 
 import math
+import re
 import sys
 import warnings
 from dataclasses import replace
@@ -27,8 +28,8 @@ from spectral_cusum import (
     SYMMETRIC,
     TOP1,
     CalibrationError,
-    CommunityAssignment,
     DetectorConfig,
+    IndicatorMatrix,
     McPlan,
     NumericalError,
     StreamScenario,
@@ -97,10 +98,29 @@ class TestPlanValidation:
             McPlan(h0_scenario(), det, replications=10, cap=100)
 
     def test_accepts_an_exact_detector_with_relabelled_communities(self):
-        """The check compares AA^T, which does not see community labels."""
-        swapped = CommunityAssignment(n=3, m=2, labels=(2, 2, 1))
-        det = DetectorConfig(method=EXACT, b=4.0, A=build_indicator(swapped))
+        """The check compares AA^T, which does not see the order of A's
+        columns: A with its two columns swapped is the same oracle."""
+        a = build_indicator(A21)
+        swapped = IndicatorMatrix(entries=a.entries[:, ::-1].copy(), sizes=a.sizes[::-1])
+        assert not np.array_equal(swapped.entries, a.entries)
+        det = DetectorConfig(method=EXACT, b=4.0, A=swapped)
         McPlan(h0_scenario(), det, replications=10, cap=100)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("replications", 2.5), ("replications", True), ("cap", 50.5), ("cap", "50")],
+    )
+    def test_rejects_a_count_that_is_not_an_integer(self, field, value):
+        """replications=True ran one replication, cap=50.5 was accepted, and
+        replications=2.5 raised a bare TypeError."""
+        kw = {"replications": 10, "cap": 100, field: value}
+        with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+            McPlan(h0_scenario(), exact_detector(4.0), **kw)
+
+    def test_stores_integral_counts_as_ints(self):
+        plan = McPlan(h0_scenario(), exact_detector(4.0), replications=np.int64(10), cap=100.0)
+        assert (plan.replications, plan.cap) == (10, 100)
+        assert type(plan.replications) is int and type(plan.cap) is int
 
 
 def block_at_a_time_path(plan, rep):

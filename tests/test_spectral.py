@@ -1,6 +1,7 @@
 """Tests for the windowed kernel, sliding means, and subspace estimation."""
 
 import ctypes
+import re
 from collections import deque
 
 import numpy as np
@@ -46,6 +47,22 @@ class TestWindowProjectionsPush:
     def test_rejects_a_window_length_below_one(self):
         with pytest.raises(ValueError, match="window length must be at least 1"):
             next(window_projections([], 0, 1))
+
+    @pytest.mark.parametrize("w, m", [(2.5, 1), (True, 1), (2, 1.5), (2, "1")])
+    def test_rejects_a_w_or_m_that_is_not_an_integer(self, w, m):
+        """w = 2.5 ran at w = 2, w = True at w = 1, and m = 1.5 raised a bare
+        TypeError at the first solve."""
+        name, bad = ("w", w) if type(w) is not int else ("m", m)
+        stream = window_of([np.eye(3)] * 4)
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+            next(window_projections(stream, w, m))
+
+    def test_integral_floats_run_as_ints(self):
+        stream = window_of([np.eye(3) * t for t in range(1, 6)])
+        for (g1, p1), (g2, p2) in zip(
+            window_projections(stream, 2.0, 1.0), window_projections(stream, 2, 1), strict=True
+        ):
+            assert g1 is g2 and p1.tobytes() == p2.tobytes()
 
     def test_rejects_mismatched_node_counts(self):
         pairs = window_projections([snap(np.zeros((2, 2))), snap(np.zeros((3, 3)))], 3, 1)

@@ -8,6 +8,8 @@ stationarity at the optimizers, bound tightness).
 import hashlib
 import io
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,8 +51,15 @@ class TestSpectrum:
             spectrum_from_sizes((10, 10, 15))
 
     def test_rejects_nonpositive_sizes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^community sizes must be positive$"):
             spectrum_from_sizes((2, 0))
+
+    @pytest.mark.parametrize("sizes", [(2.7, 1), (2, True), ("2", 1)])
+    def test_rejects_a_size_that_is_not_an_integer(self, sizes):
+        """(2.7, 1) silently became (2, 1)."""
+        bad = next(s for s in sizes if type(s) is not int)
+        with pytest.raises(ValueError, match=re.escape(f"community size must be an integer, got {bad!r}")):
+            spectrum_from_sizes(sizes)
 
     def test_rejects_empty_or_unsorted_spectra(self):
         with pytest.raises(ValidityError):
@@ -500,6 +509,29 @@ class TestReport:
         with pytest.raises(ValueError, match=f"{name} must be finite") as err:
             theory_report((12, 6), **args)
         assert not isinstance(err.value, ValidityError)
+
+    @pytest.mark.parametrize("window", [2.5, 3.5, True, "4", math.nan])
+    def test_report_rejects_a_window_that_is_not_an_integer(self, window):
+        """window = 2.5 was evaluated at 2 for delta_star and at 2.5 for d_star."""
+        with pytest.raises(ValueError, match=re.escape(f"window must be an integer, got {window!r}")):
+            theory_report((5, 3), sigma=0.25, gamma=500.0, window=window)
+
+    def test_report_evaluates_an_integral_float_window_as_its_int(self):
+        at_float = theory_report((12, 6), sigma=0.25, gamma=1000.0, window=50.0)
+        assert at_float == theory_report((12, 6), sigma=0.25, gamma=1000.0, window=50)
+        assert at_float["window_used"] == 50.0
+
+    def test_report_allocates_nothing_of_size_n(self):
+        """The report reads only the sizes: three million background nodes
+        cost no per-node label and no n x m indicator matrix."""
+        tracemalloc.start()
+        try:
+            rep = theory_report((2, 3_000_000), 1.0, 50.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rep["n"] == 3_000_002
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("window", [0, -5])
     def test_report_rejects_a_window_below_one(self, window):
