@@ -31,7 +31,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph_model import GraphSnapshot, IndicatorMatrix, _whole, mean_matrix
+from .graph_model import IndicatorMatrix, _whole, mean_matrix
 from .spectral import (
     NumericalError,
     estimate_subspace,  # noqa: F401  unused; perfbench's tracer wraps detect.estimate_subspace
@@ -42,21 +42,6 @@ EXACT = "exact"
 SPECTRAL = "spectral"
 TOP1 = "top1"
 METHODS = (EXACT, SPECTRAL, TOP1)
-
-
-def exact_increment(g: GraphSnapshot, a: IndicatorMatrix) -> float:
-    """Scaled likelihood increment 2 tr(G AA^T) - tr((AA^T)^2).
-
-    Being sigma-free it is the form the exact detector accumulates, and it
-    is the exact detector's first increment on the one-snapshot stream [g],
-    so a non-finite value raises NumericalError. It is 2 sigma^2 times the
-    Gaussian log-likelihood ratio for iid-full snapshots only: under the
-    symmetric convention each off-diagonal pair counts twice.
-    With M = AA^T, the increment before the change is then
-    N(-||M||_F^2, 4 sigma^2 (sum_i M_ii^2 + 4 sum_{i<j} M_ij^2)).
-    """
-    _, inc, _ = next(iter_statistic([g], DetectorConfig(method=EXACT, b=math.inf, A=a)))
-    return inc
 
 
 def cusum_update(prev: float, increment: float) -> float:

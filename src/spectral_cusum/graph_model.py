@@ -118,34 +118,6 @@ class GraphSnapshot:
         return self.weights.shape[0]
 
 
-def sample_snapshot(
-    mean: np.ndarray,
-    sigma: float,
-    convention: str,
-    rng: np.random.Generator,
-    t: int = 0,
-) -> GraphSnapshot:
-    """Draw one snapshot with entrywise mean `mean` and noise level sigma.
-
-    Under the "symmetric" convention the upper triangle (diagonal included)
-    is drawn independently and mirrored, so G = G^T holds bit-exactly at
-    every sigma; at sigma = 0, G is mean's upper triangle mirrored. Under
-    "iid-full" all n^2 entries are drawn independently and no symmetry holds.
-    A mean that is not finite, or so large that a draw 16 sigma from it
-    could overflow (see _check_sigma), is refused before drawing.
-    """
-    _check_sigma(sigma)
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}")
-    mean = np.asarray(mean, dtype=float)
-    if mean.ndim != 2 or mean.shape[0] != mean.shape[1]:
-        raise ValueError("mean must be a square matrix")
-    peak = float(np.abs(mean).max(initial=0.0)) if np.isfinite(mean).all() else np.inf
-    if peak + 16.0 * sigma > sys.float_info.max:
-        raise ValueError("mean must be finite, with its largest magnitude plus 16 sigma finite")
-    return GraphSnapshot(t=t, weights=_draw_block([(mean, 1)], sigma, convention, rng)[0])
-
-
 def _check_sigma(sigma: float) -> None:
     """Refuse a sigma whose draws could overflow. numpy's standard normals
     stay below 13.7 in size (the tail draw is r + (-ln(1 - u)) / r with
@@ -240,16 +212,17 @@ def iter_stream(
 
     An explicit rng (used by the Monte Carlo harness for per-replication
     generators) overrides the scenario seed; an explicit horizon overrides
-    the scenario horizon. Draws happen in time order, so a longer horizon
-    extends a shorter stream of the same scenario without changing its prefix.
+    the scenario horizon, and one that is not an integer raises ValueError
+    at the first pull. Draws happen in time order, so a longer horizon
+    extends a shorter stream of the same scenario without changing its
+    prefix.
     Snapshots are drawn a block of up to 16 at a time (see _block_rows) and
     their weights are views into that block; a block never reaches past the
     horizon, and the bits are those of one draw per snapshot.
     """
     if rng is None:
         rng = rng_from_key(scenario.seed, 0)
-    if horizon is None:
-        horizon = scenario.horizon
+    horizon = scenario.horizon if horizon is None else _whole("horizon", horizon)
     a = build_indicator(scenario.assignment)
     post_mean = mean_matrix(a)
     pre_mean = np.zeros_like(post_mean)
@@ -264,7 +237,3 @@ def iter_stream(
         for i in range(k):
             yield GraphSnapshot(t=start + i, weights=block[i])
 
-
-def make_stream(scenario: StreamScenario) -> list[GraphSnapshot]:
-    """Materialize the full stream for a scenario (see iter_stream)."""
-    return list(iter_stream(scenario))

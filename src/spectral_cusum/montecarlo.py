@@ -247,13 +247,16 @@ def _rep_alarm(plan: McPlan, rep: int) -> int | None:
     return None
 
 
-def _check_workers(workers: int) -> None:
+def _check_workers(workers: int) -> int:
+    """workers as an int: integral (a bool is refused) and at least 1."""
+    workers = _whole("workers", workers)
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    return workers
 
 
 def _map_reps(fn, plan: McPlan, reps: range, workers: int) -> list:
-    _check_workers(workers)
+    workers = _check_workers(workers)
     if workers == 1:
         return [fn(plan, i) for i in reps]
     # imported here, so a serial run never loads concurrent.futures and multiprocessing
@@ -365,7 +368,7 @@ def calibrate_threshold(
             f"cap {plan.cap} is too small to observe run lengths near "
             f"{target_gamma}: need cap >= 10 * target"
         )
-    _check_workers(workers)
+    workers = _check_workers(workers)
     decide = _PathSet(plan).decide
 
     tol = rel_tol * target_gamma

@@ -351,16 +351,14 @@ def theory_report(
         return value
 
     w_star = attempt("w_star", lambda: optimal_window(gamma, m, c, sigma))
-    if window is not None:
-        w_used: float | None = float(window)
-    else:
-        w_used = None if w_star is None else max(1, round(w_star))
-    report["window_used"] = w_used
-    delta = attempt("delta_star", lambda: delta_star(m, c, w_used, sigma), "window_used")
-    attempt("d_star", lambda: optimal_drift(w_used, m, c, sigma), "window_used")
+    if window is None and w_star is not None:
+        window = max(1, round(w_star))
+    report["window_used"] = window
+    delta = attempt("delta_star", lambda: delta_star(m, c, window, sigma), "window_used")
+    attempt("d_star", lambda: optimal_drift(window, m, c, sigma), "window_used")
     attempt(
         "edd_spectral",
-        lambda: edd_spectral_approx(gamma, delta, m, c, w_used, sigma),
+        lambda: edd_spectral_approx(gamma, delta, m, c, window, sigma),
         "window_used",
         "delta_star",
     )

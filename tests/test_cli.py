@@ -920,8 +920,8 @@ class TestCliFuzz:
         """Each config runs in a fresh directory. One that names out, which
         would write where it says, is skipped, and so is one whose sizes
         and nodes, digit runs added up, exceed 200: nothing bounds n, and
-        `theory` builds a label per node and the exact detector an n x n
-        AA^T, so a few fuzzed digits could ask for gigabytes."""
+        the exact detector builds an n x n AA^T, so a few fuzzed digits
+        could ask for gigabytes."""
         tmp = tmp_path_factory.mktemp("fuzz")
         (tmp / "run.cfg").write_bytes(data)
         (tmp / "s.ndjson").write_bytes(small_stream_bytes())

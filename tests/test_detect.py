@@ -22,10 +22,8 @@ from spectral_cusum import (
     assignment_from_sizes,
     build_indicator,
     cusum_update,
-    exact_increment,
     iter_statistic,
     iter_stream,
-    make_stream,
     mean_matrix,
     rng_from_key,
     run_detector,
@@ -47,6 +45,10 @@ def as_snapshots(matrices):
     ]
 
 
+def first_exact_increment(g, a):
+    return next(iter_statistic([g], DetectorConfig(method=EXACT, b=math.inf, A=a)))[1]
+
+
 class TestIncrements:
     def test_exact_increment_values(self):
         """An all-background indicator has AA^T = 0, so every snapshot
@@ -56,17 +58,17 @@ class TestIncrements:
         (g_half,) = as_snapshots([G21 / 2.0])
         (g_noise,) = as_snapshots([rng_from_key(1).standard_normal((3, 3))])
         a0 = build_indicator(assignment_from_sizes((), n=3))
-        assert exact_increment(g_post, A21) == pytest.approx(5.0, rel=1e-12)
-        assert exact_increment(g_zero, A21) == pytest.approx(-5.0, abs=1e-12)
-        assert exact_increment(g_half, A21) == pytest.approx(0.0, abs=1e-12)
-        assert exact_increment(g_noise, a0) == 0.0
+        assert first_exact_increment(g_post, A21) == pytest.approx(5.0, rel=1e-12)
+        assert first_exact_increment(g_zero, A21) == pytest.approx(-5.0, abs=1e-12)
+        assert first_exact_increment(g_half, A21) == pytest.approx(0.0, abs=1e-12)
+        assert first_exact_increment(g_noise, a0) == 0.0
 
     def test_exact_increment_of_a_non_finite_snapshot_raises(self):
         bad = G21.copy()
         bad[0, 1] = np.nan
         (g,) = as_snapshots([bad])
         with pytest.raises(NumericalError, match="non-finite increment"):
-            exact_increment(g, A21)
+            first_exact_increment(g, A21)
 
     @staticmethod
     def first_increment(g, window_matrix, cfg):
@@ -183,9 +185,8 @@ class TestDetectorConfig:
         assert (cfg.m, cfg.w) == (2, 5) and type(cfg.m) is int and type(cfg.w) is int
 
     def test_an_integral_float_window_alarms_at_an_int(self):
-        stream = make_stream(
-            StreamScenario(assignment_from_sizes((5, 3), n=20), sigma=1.0, tau=50, horizon=200, seed=7)
-        )
+        sc = StreamScenario(assignment_from_sizes((5, 3), n=20), sigma=1.0, tau=50, horizon=200, seed=7)
+        stream = list(iter_stream(sc))
         for w in (5, 5.0):
             res = run_detector(stream, DetectorConfig(method=SPECTRAL, b=25.0, m=2, w=w))
             assert res.stop_time == 61 and type(res.stop_time) is int
@@ -200,11 +201,8 @@ class TestDetectorConfig:
 
 
 def degenerate_stream(horizon, sizes=(2, 1)):
-    return make_stream(
-        StreamScenario(
-            assignment=assignment_from_sizes(sizes), sigma=0.0, tau=0, horizon=horizon
-        )
-    )
+    sc = StreamScenario(assignment=assignment_from_sizes(sizes), sigma=0.0, tau=0, horizon=horizon)
+    return list(iter_stream(sc))
 
 
 class TestRunDetector:
@@ -248,7 +246,7 @@ class TestRunDetector:
         sc = StreamScenario(
             assignment=assignment_from_sizes((2, 1)), sigma=1.0, tau=5, horizon=60, seed=4
         )
-        res = run_detector(make_stream(sc), DetectorConfig(method=EXACT, b=1e9, A=A21))
+        res = run_detector(list(iter_stream(sc)), DetectorConfig(method=EXACT, b=1e9, A=A21))
         prev = 0.0
         for _, stat in res.trajectory:
             inc = stat - max(prev, 0.0)
@@ -259,7 +257,7 @@ class TestRunDetector:
         sc = StreamScenario(
             assignment=assignment_from_sizes((2, 1)), sigma=1.0, tau=0, horizon=80, seed=6
         )
-        stream = make_stream(sc)
+        stream = list(iter_stream(sc))
         stops = []
         for b in (1.0, 4.0, 9.0):
             res = run_detector(stream, DetectorConfig(method=EXACT, b=b, A=A21))
@@ -397,7 +395,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
         windowed methods within RUNNING_SUM_EPS."""
         sc = self.scenario(convention)
         cfg = self.config(method, b)
-        snaps = make_stream(sc)
+        snaps = list(iter_stream(sc))
         want_incs = []
         want_stop, want_traj = longhand_run(snaps, cfg, want_incs)
         if math.isfinite(b):
@@ -415,7 +413,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
         RUNNING_SUM_EPS for the windowed methods)."""
         sc = self.scenario(convention)
         cfg = self.config(method, math.inf)
-        snaps = make_stream(sc)
+        snaps = list(iter_stream(sc))
         want_incs = []
         _, want_traj = longhand_run(snaps, cfg, want_incs)
         got = list(iter_statistic(iter_stream(sc), cfg))
@@ -429,12 +427,12 @@ class TestRunDetectorMatchesTheLonghandLoop:
         """Each generator holds its own window kernel and solver arrays, so
         pulling two in turn changes neither one's yields."""
         cfg = self.config(SPECTRAL, math.inf)
-        one = make_stream(self.scenario(SYMMETRIC))
+        one = list(iter_stream(self.scenario(SYMMETRIC)))
         other = StreamScenario(
             assignment=assignment_from_sizes((4, 2), n=n2),
             sigma=0.9, tau=10, horizon=50, seed=14, convention=IID_FULL,
         )
-        two = make_stream(other)
+        two = list(iter_stream(other))
         want = [list(iter_statistic(one, cfg)), list(iter_statistic(two, cfg))]
         got = [[], []]
         for pair in itertools.zip_longest(iter_statistic(one, cfg), iter_statistic(two, cfg)):
@@ -448,7 +446,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
         """Each top1 increment, scored through the rank-one projector, is
         v @ G @ v - d with v the leading eigenvector of its window mean."""
         cfg = self.config(TOP1, math.inf)
-        snaps = make_stream(self.scenario(convention))
+        snaps = list(iter_stream(self.scenario(convention)))
         got = list(iter_statistic(snaps, cfg))
         assert len(got) == len(snaps) - cfg.w
         for i, (t, inc, _) in enumerate(got):
@@ -459,7 +457,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
 
     @pytest.mark.parametrize("method", [SPECTRAL, TOP1, EXACT])
     def test_generator_keeps_yielding_past_the_threshold(self, method):
-        snaps = make_stream(self.scenario(SYMMETRIC))
+        snaps = list(iter_stream(self.scenario(SYMMETRIC)))
         cfg = self.config(method, 10.0)
         res = run_detector(snaps, cfg)
         got = list(iter_statistic(snaps, cfg))
@@ -473,7 +471,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
         pulled in turn, then run into data whose sums overflow, leave
         np.geterr() as their caller set it after every pull and after both
         close."""
-        snaps = make_stream(self.scenario(SYMMETRIC))
+        snaps = list(iter_stream(self.scenario(SYMMETRIC)))
         snaps[6] = GraphSnapshot(t=7, weights=np.full((8, 8), 1e308))
         before = np.geterr()
         gens = [
@@ -501,7 +499,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
 
     @pytest.mark.parametrize("method", [SPECTRAL, EXACT])
     def test_non_finite_increment_raises(self, method):
-        snaps = make_stream(self.scenario(SYMMETRIC))
+        snaps = list(iter_stream(self.scenario(SYMMETRIC)))
         bad = snaps[0].weights.copy()
         bad[0, 1] = np.nan
         snaps[0] = GraphSnapshot(t=1, weights=bad)
@@ -511,7 +509,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
     @pytest.mark.parametrize("method", [SPECTRAL, TOP1])
     def test_overflowing_window_mean_raises(self, method):
         """Finite weights whose window sum overflows give a non-finite mean."""
-        snaps = make_stream(self.scenario(SYMMETRIC))
+        snaps = list(iter_stream(self.scenario(SYMMETRIC)))
         for i in (3, 4):
             snaps[i] = GraphSnapshot(t=i + 1, weights=np.full((8, 8), 1e308))
         with pytest.raises(NumericalError, match="window after t=1: .*non-finite"):
@@ -563,7 +561,7 @@ class TestRunDetectorMatchesTheLonghandLoop:
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
         monkeypatch.setattr(spectral._TopPairs, "__call__", failing)
-        snaps = make_stream(self.scenario(SYMMETRIC))
+        snaps = list(iter_stream(self.scenario(SYMMETRIC)))
         with pytest.raises(NumericalError, match="did not converge") as info:
             run_detector(snaps, self.config(SPECTRAL, math.inf))
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)

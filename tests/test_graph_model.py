@@ -17,11 +17,9 @@ from spectral_cusum import (
     assignment_from_sizes,
     build_indicator,
     iter_stream,
-    make_stream,
     mean_matrix,
     rng_from_key,
     graph_model,
-    sample_snapshot,
 )
 from spectral_cusum.spectral import top_m_eigs
 from twins import indicator_from_labels
@@ -172,102 +170,6 @@ def test_mean_matrix_eigenvalues_are_the_sizes(sizes):
     np.testing.assert_allclose(est.eigenvalues, want, atol=1e-9)
 
 
-class TestSampleSnapshot:
-    def test_zero_noise_returns_the_mean(self):
-        a = build_indicator(assignment_from_sizes((2, 1)))
-        snap = sample_snapshot(mean_matrix(a), 0.0, SYMMETRIC, rng_from_key(0), t=4)
-        np.testing.assert_array_equal(snap.weights, mean_matrix(a))
-        assert snap.t == 4 and snap.n == 3
-
-    def test_symmetric_convention_is_bit_exact(self):
-        snap = sample_snapshot(np.zeros((6, 6)), 1.0, SYMMETRIC, rng_from_key(3))
-        assert np.array_equal(snap.weights, snap.weights.T)
-
-    def test_zero_noise_mirrors_the_upper_triangle(self):
-        """sigma = 0 returned an asymmetric mean as it was, though any
-        sigma > 0 mirrors the upper triangle."""
-        w = sample_snapshot(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.0, SYMMETRIC, rng_from_key(0)).weights
-        assert np.array_equal(w, w.T)
-        assert np.array_equal(w, [[0.0, 1.0], [1.0, 0.0]])
-
-    def test_iid_full_convention_breaks_symmetry(self):
-        snap = sample_snapshot(np.zeros((6, 6)), 1.0, IID_FULL, rng_from_key(3))
-        assert not np.array_equal(snap.weights, snap.weights.T)
-
-    def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError):
-            sample_snapshot(np.zeros((2, 2)), -1.0, SYMMETRIC, rng_from_key(0))
-
-    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
-    def test_rejects_non_finite_sigma(self, sigma):
-        """NaN slipped past a bare sigma < 0 check and drew NaN weights."""
-        with pytest.raises(ValueError, match="finite"):
-            sample_snapshot(np.zeros((2, 2)), sigma, SYMMETRIC, rng_from_key(0))
-
-    def test_rejects_unknown_convention(self):
-        with pytest.raises(ValueError):
-            sample_snapshot(np.zeros((2, 2)), 1.0, "upper", rng_from_key(0))
-
-    def test_sigma_stops_where_draws_could_overflow(self):
-        """numpy's normals stay below 13.7 in size, so sigma up to float max
-        / 16 draws finite weights, and one ulp more is refused."""
-        top = sys.float_info.max / 16
-        for convention in (SYMMETRIC, IID_FULL):
-            snap = sample_snapshot(np.ones((3, 3)), top, convention, rng_from_key(3))
-            assert np.isfinite(snap.weights).all()
-        with pytest.raises(ValueError, match="at most"):
-            sample_snapshot(np.zeros((2, 2)), math.nextafter(top, math.inf), SYMMETRIC, rng_from_key(0))
-
-    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
-    def test_rejects_a_mean_whose_draws_could_overflow(self, convention):
-        """sigma = 1e307 is inside its bound, but a mean of 1.7e308 leaves no
-        room for 16 sigma: the draw's addition overflowed with a warning."""
-        big = np.full((2, 2), 1.7e308)
-        with pytest.raises(ValueError, match="16 sigma"):
-            sample_snapshot(big, 1e307, convention, rng_from_key(0))
-        with pytest.raises(ValueError, match="16 sigma"):
-            sample_snapshot(-big, 1e307, convention, rng_from_key(0))
-        room = sys.float_info.max - 16 * 1e307
-        snap = sample_snapshot(np.full((2, 2), room), 1e307, convention, rng_from_key(0))
-        assert np.isfinite(snap.weights).all()
-
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_rejects_a_non_finite_mean(self, bad):
-        """A NaN entry used to come back as a NaN weight."""
-        mean = np.zeros((3, 3))
-        mean[1, 2] = bad
-        for convention in (SYMMETRIC, IID_FULL):
-            with pytest.raises(ValueError, match="finite"):
-                sample_snapshot(mean, 1.0, convention, rng_from_key(0))
-            with pytest.raises(ValueError, match="finite"):
-                sample_snapshot(mean, 0.0, convention, rng_from_key(0))
-
-    def test_rejects_nonsquare_mean(self):
-        with pytest.raises(ValueError):
-            sample_snapshot(np.zeros((2, 3)), 1.0, SYMMETRIC, rng_from_key(0))
-
-    def test_empirical_moments_match_the_model(self):
-        """Mean and variance of many unit-noise draws sit near 0 and 1.
-
-        5000 snapshots on 20 nodes give a per-entry standard error of about
-        0.014 for the mean; the variance is pooled over the whole upper
-        triangle, so its standard error is far below the band width.
-        """
-        n, reps = 20, 5000
-        rng = rng_from_key(13)
-        iu = np.triu_indices(n)
-        total = np.zeros((n, n))
-        sq = []
-        for _ in range(reps):
-            w = sample_snapshot(np.zeros((n, n)), 1.0, SYMMETRIC, rng).weights
-            total += w
-            sq.append(w[iu])
-        mean = total / reps
-        assert float(np.abs(mean).max()) <= 0.05
-        pooled = float(np.var(np.array(sq), ddof=1))
-        assert 0.95 <= pooled <= 1.05
-
-
 class TestStream:
     def scenario(self, **kw):
         base = dict(
@@ -281,44 +183,97 @@ class TestStream:
         return StreamScenario(**base)
 
     def test_time_indices_start_at_one(self):
-        snaps = make_stream(self.scenario())
+        snaps = list(iter_stream(self.scenario()))
         assert [s.t for s in snaps] == [1, 2, 3, 4, 5]
 
     def test_tau_zero_means_every_snapshot_is_post_change(self):
-        snaps = make_stream(self.scenario(sigma=0.0, tau=0))
+        snaps = list(iter_stream(self.scenario(sigma=0.0, tau=0)))
         want = mean_matrix(build_indicator(assignment_from_sizes((2, 1))))
         for s in snaps:
             np.testing.assert_array_equal(s.weights, want)
 
     def test_tau_none_means_the_change_never_happens(self):
-        snaps = make_stream(self.scenario(sigma=0.0, tau=None))
+        snaps = list(iter_stream(self.scenario(sigma=0.0, tau=None)))
         for s in snaps:
             np.testing.assert_array_equal(s.weights, np.zeros((3, 3)))
 
     def test_change_point_splits_pre_and_post(self):
-        snaps = make_stream(self.scenario(sigma=0.0))
+        snaps = list(iter_stream(self.scenario(sigma=0.0)))
         want = mean_matrix(build_indicator(assignment_from_sizes((2, 1))))
         np.testing.assert_array_equal(snaps[1].weights, np.zeros((3, 3)))
         np.testing.assert_array_equal(snaps[2].weights, want)
 
     def test_same_seed_reproduces_the_stream_bit_for_bit(self):
-        one = make_stream(self.scenario())
-        two = make_stream(self.scenario())
+        one = list(iter_stream(self.scenario()))
+        two = list(iter_stream(self.scenario()))
         for s1, s2 in zip(one, two):
             assert np.array_equal(s1.weights, s2.weights)
 
     def test_longer_horizon_extends_without_changing_the_prefix(self):
-        short = make_stream(self.scenario(horizon=3))
-        long = make_stream(self.scenario(horizon=7))
+        short = list(iter_stream(self.scenario(horizon=3)))
+        long = list(iter_stream(self.scenario(horizon=7)))
         for s1, s2 in zip(short, long):
             np.testing.assert_array_equal(s1.weights, s2.weights)
 
     def test_explicit_rng_overrides_the_scenario_seed(self):
         sc = self.scenario()
         via_key = list(iter_stream(sc, rng=rng_from_key(sc.seed, 0)))
-        via_seed = make_stream(sc)
+        via_seed = list(iter_stream(sc))
         for s1, s2 in zip(via_key, via_seed):
             np.testing.assert_array_equal(s1.weights, s2.weights)
+
+    @pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
+    def test_zero_noise_returns_the_mean(self, convention):
+        asg = assignment_from_sizes((2, 1), n=4)
+        want = mean_matrix(build_indicator(asg))
+        sc = self.scenario(assignment=asg, sigma=0.0, tau=0, convention=convention)
+        for t, snap in enumerate(iter_stream(sc), start=1):
+            assert np.array_equal(snap.weights, want)
+            assert snap.t == t and snap.n == 4
+
+    def test_symmetric_convention_is_bit_exact(self):
+        sc = self.scenario(assignment=assignment_from_sizes((3, 2), n=6), seed=3)
+        for snap in iter_stream(sc):
+            assert np.array_equal(snap.weights, snap.weights.T)
+
+    def test_iid_full_convention_breaks_symmetry(self):
+        asg = assignment_from_sizes((3, 2), n=6)
+        sc = self.scenario(assignment=asg, seed=3, convention=IID_FULL)
+        for snap in iter_stream(sc):
+            assert not np.array_equal(snap.weights, snap.weights.T)
+
+    def test_sigma_stops_where_draws_could_overflow(self):
+        """numpy's normals stay below 13.7 in size, so sigma up to float max
+        / 16 draws finite weights about a mean of ones, and one ulp more is
+        refused."""
+        top = sys.float_info.max / 16
+        for convention in (SYMMETRIC, IID_FULL):
+            asg = assignment_from_sizes((3,))
+            sc = self.scenario(assignment=asg, sigma=top, tau=0, seed=3, convention=convention)
+            for snap in iter_stream(sc):
+                assert np.isfinite(snap.weights).all()
+        with pytest.raises(ValueError, match="at most"):
+            self.scenario(sigma=math.nextafter(top, math.inf))
+
+    def test_empirical_moments_match_the_model(self):
+        """Mean and variance of many unit-noise draws sit near 0 and 1.
+
+        5000 snapshots on 20 nodes give a per-entry standard error of about
+        0.014 for the mean; the variance is pooled over the whole upper
+        triangle, so its standard error is far below the band width.
+        """
+        n, reps = 20, 5000
+        sc = self.scenario(assignment=assignment_from_sizes((), n=n), tau=None, horizon=reps)
+        iu = np.triu_indices(n)
+        total = np.zeros((n, n))
+        sq = []
+        for snap in iter_stream(sc, rng=rng_from_key(13)):
+            total += snap.weights
+            sq.append(snap.weights[iu])
+        mean = total / reps
+        assert float(np.abs(mean).max()) <= 0.05
+        pooled = float(np.var(np.array(sq), ddof=1))
+        assert 0.95 <= pooled <= 1.05
 
     def test_rejects_bad_scenarios(self):
         with pytest.raises(ValueError):
@@ -341,6 +296,19 @@ class TestStream:
     def test_rejects_a_time_that_is_not_an_integer(self, field, value):
         with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
             self.scenario(**{field: value})
+
+    @pytest.mark.parametrize("horizon", [2.5, True, "3"])
+    def test_rejects_an_explicit_horizon_that_is_not_an_integer(self, horizon):
+        """2.5 raised a bare TypeError, and True yielded one snapshot."""
+        with pytest.raises(ValueError, match=re.escape(f"horizon must be an integer, got {horizon!r}")):
+            list(iter_stream(self.scenario(), horizon=horizon))
+
+    def test_an_integral_float_horizon_draws_its_int(self):
+        sc = self.scenario()
+        got = list(iter_stream(sc, horizon=3.0))
+        assert [s.t for s in got] == [1, 2, 3]
+        for s1, s2 in zip(got, iter_stream(sc)):
+            assert np.array_equal(s1.weights, s2.weights)
 
     def test_stores_integral_times_as_ints(self):
         sc = self.scenario(horizon=5.0, tau=np.int64(2))
@@ -408,18 +376,3 @@ def test_block_draws_match_one_draw_per_snapshot(convention, sigma, n, tau, hori
     for snap, (_, w) in zip(got, want):
         assert np.array_equal(snap.weights, w)
     assert rng.standard_normal() == twin_rng.standard_normal()
-
-
-@pytest.mark.parametrize("convention", [SYMMETRIC, IID_FULL])
-@pytest.mark.parametrize("sigma", [0.0, 0.8])
-def test_sample_snapshot_is_the_one_row_draw(convention, sigma):
-    sc = StreamScenario(
-        assignment=assignment_from_sizes((3, 2), n=7),
-        sigma=sigma, tau=4, horizon=9, seed=0, convention=convention,
-    )
-    post = mean_matrix(build_indicator(sc.assignment))
-    rng = rng_from_key(18)
-    for t, w in one_draw_per_snapshot(sc, rng_from_key(18), sc.horizon):
-        mean = post if t > sc.tau else np.zeros_like(post)
-        snap = sample_snapshot(mean, sigma, convention, rng, t=t)
-        assert snap.t == t and np.array_equal(snap.weights, w)

@@ -29,7 +29,6 @@ from spectral_cusum import (
     build_indicator,
     iter_stream,
     iter_stream_file,
-    make_stream,
     parse_config,
     read_sensor_csv,
     read_stream,
@@ -53,7 +52,7 @@ class TestStreamRoundTrip:
     @pytest.mark.parametrize("convention", ["symmetric", IID_FULL])
     def test_round_trip_is_bit_exact(self, tmp_path, convention):
         path = tmp_path / "stream.ndjson"
-        snaps = make_stream(scenario(convention=convention))
+        snaps = list(iter_stream(scenario(convention=convention)))
         assert write_stream(snaps, path) == 3
         back = read_stream(path)
         assert [s.t for s in back] == [s.t for s in snaps]
@@ -80,21 +79,21 @@ class TestStreamRoundTrip:
 
     def test_symmetric_streams_use_the_triangular_layout(self, tmp_path):
         path = tmp_path / "stream.ndjson"
-        write_stream(make_stream(scenario()), path)
+        write_stream(list(iter_stream(scenario())), path)
         first = json.loads(path.read_text().splitlines()[0])
         assert "tri" in first and "full" not in first
         assert len(first["tri"]) == 6
 
     def test_asymmetric_streams_use_the_full_layout(self, tmp_path):
         path = tmp_path / "stream.ndjson"
-        write_stream(make_stream(scenario(convention=IID_FULL)), path)
+        write_stream(list(iter_stream(scenario(convention=IID_FULL))), path)
         first = json.loads(path.read_text().splitlines()[0])
         assert "full" in first and "tri" not in first
         assert len(first["full"]) == 9
 
     def test_file_objects_work_too(self):
         buf = io.StringIO()
-        snaps = make_stream(scenario())
+        snaps = list(iter_stream(scenario()))
         write_stream(snaps, buf)
         buf.seek(0)
         back = read_stream(buf)
@@ -108,7 +107,7 @@ class TestStreamRoundTrip:
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "stream.ndjson"
-        write_stream(make_stream(scenario()), path)
+        write_stream(list(iter_stream(scenario())), path)
         path.write_text(path.read_text().replace("\n", "\n\n"))
         assert len(read_stream(path)) == 3
 
@@ -118,7 +117,7 @@ class TestLazyReader:
         """Snapshots before a malformed line come out first; the error is
         raised only when the consumer asks for the snapshot on that line."""
         path = tmp_path / "stream.ndjson"
-        write_stream(make_stream(scenario()), path)
+        write_stream(list(iter_stream(scenario())), path)
         with open(path, "a") as fh:
             fh.write('{"t": 4, "n": 3, "tri"\n')
         snapshots = iter_stream_file(path)
@@ -128,7 +127,7 @@ class TestLazyReader:
 
     def test_closing_early_closes_the_file(self, tmp_path):
         path = tmp_path / "stream.ndjson"
-        write_stream(make_stream(scenario()), path)
+        write_stream(list(iter_stream(scenario())), path)
         snapshots = iter_stream_file(path)
         next(snapshots)
         fh = snapshots.gi_frame.f_locals["fh"]
@@ -137,7 +136,7 @@ class TestLazyReader:
 
     def test_a_callers_file_stays_open(self):
         buf = io.StringIO()
-        write_stream(make_stream(scenario()), buf)
+        write_stream(list(iter_stream(scenario())), buf)
         buf.seek(0)
         snapshots = iter_stream_file(buf)
         next(snapshots)
@@ -148,7 +147,7 @@ class TestLazyReader:
 class TestStreamErrors:
     def write_and_truncate(self, tmp_path):
         path = tmp_path / "bad.ndjson"
-        write_stream(make_stream(scenario()), path)
+        write_stream(list(iter_stream(scenario())), path)
         lines = path.read_text().splitlines()
         lines[2] = lines[2][: len(lines[2]) // 2]
         path.write_text("\n".join(lines) + "\n")
@@ -301,7 +300,7 @@ class TestMalformedFilesExitThree:
 
     def test_a_byte_that_is_not_utf8_in_a_config(self, tmp_path):
         stream = tmp_path / "s.ndjson"
-        write_stream(make_stream(scenario()), stream)
+        write_stream(list(iter_stream(scenario())), stream)
         config = tmp_path / "run.cfg"
         config.write_bytes(b"b = 5.0\n# caf\xe9\n")
         err = io.StringIO()
@@ -594,7 +593,7 @@ class TestFastWriter:
 class TestNonFiniteWrites:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_weight_stops_before_its_line(self, bad):
-        snaps = make_stream(scenario())
+        snaps = list(iter_stream(scenario()))
         weights = snaps[1].weights.copy()
         weights[0, 1] = bad
         buf = io.StringIO()
@@ -607,7 +606,7 @@ class TestNonFiniteWrites:
     def test_a_weight_that_is_not_real_stops_before_its_line(self, dtype):
         """Booleans were written as true and false, which the reader refuses,
         and complex weights raised TypeError partway through the stream."""
-        snaps = make_stream(scenario())
+        snaps = list(iter_stream(scenario()))
         buf = io.StringIO()
         message = f"snapshot t=2: a stream file holds real numbers, not {np.dtype(dtype)} weights"
         with pytest.raises(ValueError, match=message):
@@ -700,7 +699,7 @@ class TestReaderFuzz:
 
 class TestTraceAndReports:
     def run_exact(self):
-        snaps = make_stream(scenario(sigma=0.0, tau=0, horizon=5))
+        snaps = list(iter_stream(scenario(sigma=0.0, tau=0, horizon=5)))
         cfg = DetectorConfig(method=EXACT, b=12.0, A=build_indicator(assignment_from_sizes((2, 1))))
         return run_detector(snaps, cfg)
 
@@ -713,7 +712,7 @@ class TestTraceAndReports:
         assert lines[3] == "3,15.0,1"
 
     def test_windowed_trace_shifts_by_the_lag(self):
-        snaps = make_stream(scenario(sigma=0.0, tau=0, horizon=6))
+        snaps = list(iter_stream(scenario(sigma=0.0, tau=0, horizon=6)))
         cfg = DetectorConfig(method="spectral", b=3.5, m=2, w=2, d=1.0)
         buf = io.StringIO()
         write_trace(run_detector(snaps, cfg), buf)

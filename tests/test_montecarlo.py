@@ -54,6 +54,7 @@ from spectral_cusum import montecarlo
 from spectral_cusum.montecarlo import _CHUNK, _rep_alarm, _rep_path, _summarize
 
 A21 = assignment_from_sizes((2, 1))
+A21_N4 = assignment_from_sizes((2, 1), n=4)
 
 
 def h0_scenario(**kw):
@@ -782,6 +783,42 @@ class TestCalibrationMatchesTheFullCapTwin:
         assert path_phase == list(range(plan.replications))
         assert sorted(built) == list(range(len(built)))
 
+    @pytest.mark.parametrize(
+        "det, replications, gamma, cap, seed, want",
+        [
+            (DetectorConfig(EXACT, b=1.0, A=build_indicator(A21_N4)), 1000, 50.0, 1000, 3, 66_726),
+            (DetectorConfig(SPECTRAL, b=1.0, m=1, w=2), 100, 100.0, 2000, 0, 14_792),
+        ],
+        ids=[EXACT, SPECTRAL],
+    )
+    def test_the_path_phase_steps_a_pinned_count(
+        self, monkeypatch, det, replications, gamma, cap, seed, want
+    ):
+        """The statistics the path phase steps, counted as extend returns
+        them on the ids below replications. The thresholds alone cannot
+        show this work: a lower bound in decide one step weaker (l + lag
+        for l + 1 + lag) gives every verdict its bits but steps more."""
+        stepped = []
+        path = montecarlo._path
+
+        class Counted:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def extend(self, b):
+                out = self.inner.extend(b)
+                stepped.append(out.size)
+                return out
+
+        def counting(plan, rep):
+            return Counted(path(plan, rep)) if rep < plan.replications else path(plan, rep)
+
+        monkeypatch.setattr(montecarlo, "_path", counting)
+        sc = h0_scenario(assignment=A21_N4)
+        plan = McPlan(sc, det, replications=replications, cap=cap, master_seed=seed)
+        calibrate_threshold(plan, gamma, 0.2)
+        assert sum(stepped) == want
+
     @staticmethod
     def assert_bit_identical(plan, gamma, rel_tol):
         want = full_cap_calibrate(plan, gamma, rel_tol)
@@ -1071,6 +1108,25 @@ class TestWorkerCount:
         for call in calls:
             with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
                 call()
+
+    @pytest.mark.parametrize("workers", [1.5, True, "2"])
+    def test_a_worker_count_that_is_not_an_integer_is_refused(self, workers):
+        """1.5 raised a bare TypeError, and True ran as one worker."""
+        plan = McPlan(h0_scenario(), exact_detector(3.0), replications=4, cap=200)
+        post = replace(plan, scenario=h0_scenario(tau=0))
+        calls = [
+            lambda: estimate_arl(plan, workers=workers),
+            lambda: estimate_edd(post, workers=workers),
+            lambda: calibrate_threshold(plan, 10.0, workers=workers),
+            lambda: oc_curve(plan, [10.0], workers=workers),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=re.escape(f"workers must be an integer, got {workers!r}")):
+                call()
+
+    def test_an_integral_float_worker_count_runs_as_its_int(self):
+        plan = McPlan(h0_scenario(), exact_detector(3.0), replications=4, cap=200)
+        assert estimate_arl(plan, workers=1.0) == estimate_arl(plan, workers=1)
 
 
 class TestWorkerDeterminism:

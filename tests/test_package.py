@@ -30,6 +30,55 @@ def test_exports_are_the_imported_names():
     assert set(spectral_cusum.__all__) == imported_names()
 
 
+# exported for the paper's formulas and the criteria's Monte Carlo checks,
+# though no program path runs them
+PAPER_FORMULAS = {
+    "bias_bound",
+    "edd_at_optimal_tilt",
+    "eigenvector_sampling_covariance",
+    "equalizer_mgf",
+    "estimate_drift_mc",
+    "verify_equalizer_mc",
+}
+
+
+def names_read(path: Path, strings: bool = False) -> set:
+    """Names a module loads, as names or attributes (and, with strings,
+    as string constants), outside the definition of the name itself."""
+    tree = ast.parse(path.read_text())
+    read = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != owner:
+                read.add(name)
+    return read
+
+
+def test_every_export_is_run_or_a_paper_formula():
+    """An export that only the tests call restates code the program runs:
+    each name is read in src/ outside __init__.py, or by the benchmark in
+    perfbench/ (whose tracer names its targets by string), or is one of the
+    paper's formulas."""
+    package = Path(spectral_cusum.__file__).parent
+    bench = package.parents[1] / "perfbench"
+    assert bench.is_dir()
+    read = set().union(
+        *(names_read(path) for path in package.glob("*.py") if path.name != "__init__.py"),
+        *(names_read(path, strings=True) for path in bench.glob("*.py")),
+    )
+    assert PAPER_FORMULAS <= set(spectral_cusum.__all__)
+    assert sorted(set(spectral_cusum.__all__) - read - PAPER_FORMULAS) == []
+
+
 def unused_imports(path: Path) -> list:
     """Names a module's top-level imports bind that nothing in the module
     reads, other than `from __future__` features and names imported on a

@@ -21,9 +21,9 @@ from spectral_cusum import (
     build_indicator,
     iter_stream,
     mean_matrix,
+    graph_model,
     rng_from_key,
     run_detector,
-    sample_snapshot,
     spectral,
     window_projections,
 )
@@ -33,6 +33,12 @@ from spectral_cusum.spectral import estimate_subspace, projector, sliding_mean, 
 def snap(weights, t=1):
     w = np.asarray(weights, dtype=float)
     return GraphSnapshot(t=t, weights=w)
+
+
+def noisy_stream(mean, sigma, convention, rng, horizon):
+    """Snapshots 1..horizon about mean, drawn as the stream drawer's one block."""
+    block = graph_model._draw_block([(mean, horizon)], sigma, convention, rng)
+    return [GraphSnapshot(t=t, weights=w) for t, w in enumerate(block, start=1)]
 
 
 def window_of(matrices):
@@ -112,10 +118,9 @@ def test_sliding_mean_matches_the_stacked_reduce_bit_for_bit(convention, n, w):
     """Every full window of a rolling deque over 30 snapshots, noisy about a
     block mean; iid-full snapshots are asymmetric."""
     mean = 3.0 * mean_matrix(build_indicator(assignment_from_sizes((n // 2, 1), n=n)))
-    rng = rng_from_key(40, 100 * n + w)
     window = deque(maxlen=w)
-    for t in range(1, 31):
-        window.append(sample_snapshot(mean, 0.7, convention, rng, t=t))
+    for g in noisy_stream(mean, 0.7, convention, rng_from_key(40, 100 * n + w), 30):
+        window.append(g)
         if len(window) == w:
             assert np.array_equal(sliding_mean(window), stacked_mean(window))
 
@@ -381,8 +386,7 @@ def check_against_twin(snaps, n, m, w):
 
 def noisy_block_stream(n, convention, key, horizon):
     mean = 2.0 * mean_matrix(build_indicator(assignment_from_sizes((4, 3, 2), n=n)))
-    rng = rng_from_key(*key)
-    return [sample_snapshot(mean, 0.8, convention, rng, t=t) for t in range(1, horizon + 1)]
+    return noisy_stream(mean, 0.8, convention, rng_from_key(*key), horizon)
 
 
 @pytest.mark.usefixtures("solver")
@@ -425,8 +429,7 @@ class TestWindowProjections:
         the kernel no longer makes."""
         n, w = 12, 4
         mean = 2.0 * mean_matrix(build_indicator(assignment_from_sizes((4, 3, 2), n=n)))
-        rng = rng_from_key(60, m)
-        snaps = [sample_snapshot(mean, 0.8, convention, rng, t=t) for t in range(1, 21)]
+        snaps = noisy_stream(mean, 0.8, convention, rng_from_key(60, m), 20)
         for k in range(len(snaps) - w):
             ((_, got),) = window_projections(snaps[k : k + w + 1], w, m)
             want = projector(estimate_subspace(snaps[k + 1 : k + w + 1], m))

@@ -469,6 +469,7 @@ class TestReport:
         ws = rep["w_star"]
         assert ws == pytest.approx(optimal_window(1000.0, 2, 24.0, 0.25), rel=1e-12)
         assert rep["window_used"] == round(ws)
+        assert type(rep["window_used"]) is int
 
     def test_report_flags_fields_outside_their_domain(self):
         rep = theory_report((12, 6), sigma=0.25, gamma=1000.0)
@@ -496,7 +497,7 @@ class TestReport:
 
     def test_report_honors_an_explicit_window(self):
         rep = theory_report((12, 6), sigma=0.25, gamma=1000.0, window=50)
-        assert rep["window_used"] == 50
+        assert rep["window_used"] == 50 and type(rep["window_used"]) is int
         assert rep["validity"]["delta_star"]["ok"] is True
         assert rep["delta_star"] == pytest.approx(delta_star(2, 24.0, 50, 0.25))
 
@@ -519,7 +520,7 @@ class TestReport:
     def test_report_evaluates_an_integral_float_window_as_its_int(self):
         at_float = theory_report((12, 6), sigma=0.25, gamma=1000.0, window=50.0)
         assert at_float == theory_report((12, 6), sigma=0.25, gamma=1000.0, window=50)
-        assert at_float["window_used"] == 50.0
+        assert at_float["window_used"] == 50 and type(at_float["window_used"]) is int
 
     def test_report_allocates_nothing_of_size_n(self):
         """The report reads only the sizes: three million background nodes
@@ -544,14 +545,14 @@ class TestReport:
     "sizes, sigma, gamma, window, n, sha256",
     [
         ((5, 3), 0.5, 200.0, None, 10, "b966398545d8df05ebf943e9164ee8f44805cc6e4d8fb6d34172d78203c146e0"),
-        ((2,), 1.0, 50.0, 4, 4, "912cb207d3778dbd6bbfaf053e4210d87fb74d32b836bf484e0fec70dd012d3c"),
+        ((2,), 1.0, 50.0, 4, 4, "2d6704f4b8b6cad4cde986ccf840f5ddea13b672e893bd72d26fcd2727787056"),
     ],
     ids=["sizes-5-3-n10", "sizes-2-n4-window4"],
 )
 def test_report_bytes_are_pinned(sizes, sigma, gamma, window, n, sha256):
     """The written report, byte for byte, with background nodes (n above the
     sum of sizes), an optimal window rounded to the int 8, and an explicit
-    window written as the float 4.0."""
+    window written as the int 4."""
     out = io.StringIO()
     write_report(theory_report(sizes, sigma, gamma, window=window, n=n), out)
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == sha256
