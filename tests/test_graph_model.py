@@ -278,16 +278,23 @@ class TestStream:
     def test_rejects_bad_scenarios(self):
         with pytest.raises(ValueError):
             self.scenario(horizon=0)
-        with pytest.raises(ValueError):
-            self.scenario(sigma=-0.5)
-        for sigma in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="finite"):
-                self.scenario(sigma=sigma)
         with pytest.raises(ValueError, match="at most"):
             self.scenario(sigma=1e308)
         with pytest.raises(ValueError):
             self.scenario(tau=-1)
-        with pytest.raises(ValueError):
+
+    def test_rejects_negative_sigma(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            self.scenario(sigma=-0.5)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        """NaN slips past a bare sigma < 0 check and would draw NaN weights."""
+        with pytest.raises(ValueError, match="finite"):
+            self.scenario(sigma=sigma)
+
+    def test_rejects_unknown_convention(self):
+        with pytest.raises(ValueError, match="unknown convention 'lower'"):
             self.scenario(convention="lower")
 
     @pytest.mark.parametrize(
