@@ -822,6 +822,24 @@ class TestXcorr:
         sensors.write_text("a,b\n1,2\n3,4\n")
         assert main(["xcorr", str(sensors), "--segment", "1", "--out", "x"]) == 2
 
+    def test_a_bad_row_in_the_dropped_tail_is_still_a_format_error(self, tmp_path, capsys):
+        """The tail short of a full segment is never correlated, but the
+        whole file is checked before any snapshot is written."""
+        sensors = tmp_path / "sensors.csv"
+        sensors.write_text("a,b\n1,2\n3,5\n5,6\n7,9\n8,x\n")
+        out = tmp_path / "stream.ndjson"
+        assert main(["xcorr", str(sensors), "--segment", "2", "--out", str(out)]) == 3
+        assert f"{sensors}: line 6: non-numeric value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_format_error_comes_before_the_segment_check(self, tmp_path, capsys):
+        sensors = tmp_path / "sensors.csv"
+        sensors.write_text("a,b\n1,2\n3,nan\n")
+        out = tmp_path / "stream.ndjson"
+        assert main(["xcorr", str(sensors), "--segment", "1", "--out", str(out)]) == 3
+        assert "line 3: non-finite value" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestParser:
     def test_unknown_subcommand_is_a_usage_error(self):

@@ -18,6 +18,7 @@ import hashlib
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,26 @@ def detect_file_stream_md5():
         return file_md5(out)
 
 
+def xcorr_md5():
+    """xcorr on a seeded 7-channel CSV of 203 samples at --segment 20:
+    channel c3 is constant through segment 4, and the 3-sample tail is
+    dropped."""
+    values = np.random.default_rng(17).standard_normal((203, 7))
+    values[60:80, 3] = 0.25
+    lines = [",".join(f"c{i}" for i in range(7))]
+    lines += [",".join(map(repr, row)) for row in values.tolist()]
+    with tempfile.TemporaryDirectory() as tmp:
+        sensors, out = Path(tmp) / "sensors.csv", str(Path(tmp) / "stream.ndjson")
+        sensors.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["xcorr", str(sensors), "--segment", "20", "--out", out]) == 0
+        assert [str(w.message) for w in caught] == [
+            "segment 4: zero-variance channel(s) c3; correlations set to 0"
+        ]
+        return file_md5(out)
+
+
 CASES = {
     "oc_exact_n20": lambda: oc_row(EXACT, (2, 1), 50.0, 200),
     "oc_spectral_n20": lambda: oc_row(SPECTRAL, (6, 3), 20.0, 60),
@@ -149,6 +170,7 @@ CASES = {
         for convention in (SYMMETRIC, IID_FULL)
     },
     "detect_file_n100_stream": detect_file_stream_md5,
+    "xcorr_md5": xcorr_md5,
 }
 
 
