@@ -29,7 +29,6 @@ from .io import (
     StreamFormatError,
     iter_stream_file,
     parse_config,
-    read_sensor_csv,
     read_stream,  # noqa: F401  unused; perfbench's tracer wraps the cli.read_stream binding
     write_oc,
     write_report,
@@ -364,8 +363,7 @@ def _cmd_bench(ns: argparse.Namespace) -> int:
 
 def _cmd_xcorr(ns: argparse.Namespace) -> int:
     v = _resolve(ns, _XCORR_OPTS)
-    series = read_sensor_csv(v["input"], v["segment"])
-    write_stream(xcorr_stream(series), _out_or_stdout(v))
+    write_stream(xcorr_stream(v["input"], v["segment"]), _out_or_stdout(v))
     return 0
 
 

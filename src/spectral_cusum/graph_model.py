@@ -212,10 +212,10 @@ def iter_stream(
 
     An explicit rng (used by the Monte Carlo harness for per-replication
     generators) overrides the scenario seed; an explicit horizon overrides
-    the scenario horizon, and one that is not an integer raises ValueError
-    at the first pull. Draws happen in time order, so a longer horizon
-    extends a shorter stream of the same scenario without changing its
-    prefix.
+    the scenario horizon, and one that is not an integer of at least 1
+    raises ValueError at the first pull. Draws happen in time order, so a
+    longer horizon extends a shorter stream of the same scenario without
+    changing its prefix.
     Snapshots are drawn a block of up to 16 at a time (see _block_rows) and
     their weights are views into that block; a block never reaches past the
     horizon, and the bits are those of one draw per snapshot.
@@ -223,6 +223,8 @@ def iter_stream(
     if rng is None:
         rng = rng_from_key(scenario.seed, 0)
     horizon = scenario.horizon if horizon is None else _whole("horizon", horizon)
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
     a = build_indicator(scenario.assignment)
     post_mean = mean_matrix(a)
     pre_mean = np.zeros_like(post_mean)

@@ -46,13 +46,12 @@ import re
 import sys
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .detect import DetectionResult
-from .graph_model import GraphSnapshot, _mirror, _triu_cache
+from .graph_model import GraphSnapshot, _mirror, _triu_cache, _whole
 
 
 class StreamFormatError(ValueError):
@@ -510,40 +509,20 @@ def write_report(report: dict, path_or_file) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
-class MultichannelSeries:
-    """Equal-length samples from several sensors, plus the segment length
-    used to chop them into per-snapshot correlation windows."""
+def xcorr_stream(path_or_file, segment: int) -> list[GraphSnapshot]:
+    """Read a sensor CSV and turn it into correlation-graph snapshots.
 
-    names: tuple[str, ...]
-    values: np.ndarray
-    segment: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(str(x) for x in self.names))
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if len(self.names) < 2:
-            raise ValueError("need at least two channels")
-        if values.ndim != 2 or values.shape[1] != len(self.names):
-            raise ValueError(
-                f"values must be (samples, {len(self.names)}), got {values.shape}"
-            )
-        if self.segment < 2:
-            raise ValueError("segment length must be at least 2")
-
-    @property
-    def channels(self) -> int:
-        return len(self.names)
-
-    @property
-    def samples(self) -> int:
-        return self.values.shape[0]
-
-
-def read_sensor_csv(path_or_file, segment: int) -> MultichannelSeries:
-    """Read a sensor CSV: a header row of channel names, then one row of
-    finite float samples per tick."""
+    The CSV holds a header row of at least two channel names, then one row
+    of finite float samples per tick. The whole file is read and checked
+    before segment (an integer of at least 2) and before any snapshot is
+    built. Snapshot t holds the Pearson correlations of the channels over
+    the t-th non-overlapping segment; trailing samples short of a full
+    segment are dropped. A zero-variance channel would make its
+    correlations undefined, so those entries (its whole row and column,
+    diagonal included) are set to 0 with a warning. A segment whose sums of
+    squares overflow, as samples near 1e200 do, raises StreamFormatError
+    naming it.
+    """
     with _opened(path_or_file, "r") as fh:
         name = _name_of(fh)
         reader = csv.reader(fh)
@@ -573,25 +552,13 @@ def read_sensor_csv(path_or_file, segment: int) -> MultichannelSeries:
             if not all(map(math.isfinite, vals)):
                 raise StreamFormatError(f"{name}: line {lineno}: non-finite value")
             rows.append(vals)
-        values = np.array(rows, dtype=float) if rows else np.empty((0, len(names)))
-        return MultichannelSeries(names=tuple(names), values=values, segment=segment)
-
-
-def xcorr_stream(series: MultichannelSeries) -> list[GraphSnapshot]:
-    """Turn a multichannel series into correlation-graph snapshots.
-
-    Snapshot t holds the Pearson correlations of the channels over the t-th
-    non-overlapping segment; trailing samples short of a full segment are
-    dropped. A zero-variance channel would make its correlations undefined,
-    so those entries (its whole row and column, diagonal included) are set to
-    0 with a warning. A segment whose sums of squares overflow, as samples
-    near 1e200 do, raises StreamFormatError naming it.
-    """
-    length = series.segment
-    segments = series.samples // length
+    values = np.array(rows, dtype=float).reshape(-1, len(names))
+    length = _whole("segment", segment)
+    if length < 2:
+        raise ValueError("segment length must be at least 2")
     snaps: list[GraphSnapshot] = []
-    for s in range(segments):
-        block = series.values[s * length : (s + 1) * length]
+    for s in range(len(values) // length):
+        block = values[s * length : (s + 1) * length]
         with np.errstate(over="ignore", invalid="ignore"):  # refused just below
             centered = block - block.mean(axis=0)
             norms = np.sqrt((centered**2).sum(axis=0))
@@ -601,7 +568,7 @@ def xcorr_stream(series: MultichannelSeries) -> list[GraphSnapshot]:
             )
         flat = norms == 0.0
         if flat.any():
-            bad = ", ".join(series.names[i] for i in np.nonzero(flat)[0])
+            bad = ", ".join(names[i] for i in np.nonzero(flat)[0])
             warnings.warn(
                 f"segment {s + 1}: zero-variance channel(s) {bad}; correlations set to 0",
                 stacklevel=2,
@@ -610,8 +577,7 @@ def xcorr_stream(series: MultichannelSeries) -> list[GraphSnapshot]:
         corr = (centered.T @ centered) / np.outer(safe, safe)
         corr[flat, :] = 0.0
         corr[:, flat] = 0.0
-        idx = np.arange(series.channels)
-        corr[idx, idx] = np.where(flat, 0.0, 1.0)
+        np.fill_diagonal(corr, np.where(flat, 0.0, 1.0))
         corr = np.triu(corr) + np.triu(corr, 1).T
         snaps.append(GraphSnapshot(t=s + 1, weights=corr))
     return snaps

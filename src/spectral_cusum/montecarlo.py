@@ -538,8 +538,11 @@ def verify_equalizer_mc(
     (all n^2 entries independent), so the scored snapshot is independent of
     its window. delta = 0 is the degenerate case with value exactly 1. The
     guard delta * sigma * sqrt(2m) <= 1 keeps the exponential moment's Monte
-    Carlo variance manageable; violating it warns and refuses.
+    Carlo variance manageable; violating it warns and refuses. n, m, w and
+    replications must be integers (or integral floats) on every path.
     """
+    n, m, w = _whole("n", n), _whole("m", m), _whole("w", w)
+    replications = _whole("replications", replications)
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     if w < 1:

@@ -310,6 +310,14 @@ class TestStream:
         with pytest.raises(ValueError, match=re.escape(f"horizon must be an integer, got {horizon!r}")):
             list(iter_stream(self.scenario(), horizon=horizon))
 
+    @pytest.mark.parametrize("horizon", [0, -3])
+    def test_rejects_an_explicit_horizon_below_one(self, horizon):
+        """Both yielded no snapshot; the scenario's own horizon is refused
+        with the same message."""
+        stream = iter_stream(self.scenario(), horizon=horizon)
+        with pytest.raises(ValueError, match="horizon must be at least 1"):
+            next(stream)
+
     def test_an_integral_float_horizon_draws_its_int(self):
         sc = self.scenario()
         got = list(iter_stream(sc, horizon=3.0))

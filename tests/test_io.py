@@ -21,7 +21,6 @@ from spectral_cusum import (
     IID_FULL,
     DetectorConfig,
     GraphSnapshot,
-    MultichannelSeries,
     OcPoint,
     StreamFormatError,
     StreamScenario,
@@ -30,7 +29,6 @@ from spectral_cusum import (
     iter_stream,
     iter_stream_file,
     parse_config,
-    read_sensor_csv,
     read_stream,
     run_detector,
     write_oc,
@@ -769,65 +767,56 @@ class TestTraceAndReports:
         assert data == {"b": 1.5, "n": 3, "v": [0, 1]}
 
 
+def sensor_csv(values) -> io.StringIO:
+    """A sensor CSV of a (samples, channels) array under the channel names
+    ch0, ch1, ...; repr writes each sample so that it reads back exactly."""
+    values = np.asarray(values, dtype=float)
+    lines = [",".join(f"ch{i}" for i in range(values.shape[1]))]
+    lines += [",".join(map(repr, row)) for row in values.tolist()]
+    return io.StringIO("\n".join(lines) + "\n")
+
+
 class TestSensorSeries:
-    def test_reads_header_and_rows(self, tmp_path):
-        path = tmp_path / "sensors.csv"
-        path.write_text("a,b,c\n1,2,3\n4,5,6\n")
-        series = read_sensor_csv(path, segment=2)
-        assert series.names == ("a", "b", "c")
-        assert series.samples == 2 and series.channels == 3
+    def test_reads_header_and_rows(self):
+        snaps = xcorr_stream(io.StringIO("a,b,c\n1,2,3\n4,5,6\n"), segment=2)
+        assert [s.t for s in snaps] == [1]
+        assert snaps[0].n == 3
+        np.testing.assert_allclose(snaps[0].weights, np.ones((3, 3)), atol=1e-12)
 
-    def test_rejects_single_channel_and_empty_files(self, tmp_path):
-        solo = tmp_path / "one.csv"
-        solo.write_text("a\n1\n")
-        with pytest.raises(StreamFormatError):
-            read_sensor_csv(solo, segment=2)
-        empty = tmp_path / "none.csv"
-        empty.write_text("")
+    def test_rejects_single_channel_and_empty_files(self):
+        with pytest.raises(StreamFormatError, match="need at least two channels, got 1"):
+            xcorr_stream(io.StringIO("a\n1\n"), segment=2)
         with pytest.raises(StreamFormatError, match="empty"):
-            read_sensor_csv(empty, segment=2)
+            xcorr_stream(io.StringIO(""), segment=2)
 
-    def test_reports_ragged_and_non_numeric_rows(self, tmp_path):
-        ragged = tmp_path / "ragged.csv"
-        ragged.write_text("a,b\n1,2\n3\n")
+    def test_reports_ragged_and_non_numeric_rows(self):
         with pytest.raises(StreamFormatError, match="line 3"):
-            read_sensor_csv(ragged, segment=2)
-        alpha = tmp_path / "alpha.csv"
-        alpha.write_text("a,b\n1,x\n")
+            xcorr_stream(io.StringIO("a,b\n1,2\n3\n"), segment=2)
         with pytest.raises(StreamFormatError, match="line 2"):
-            read_sensor_csv(alpha, segment=2)
+            xcorr_stream(io.StringIO("a,b\n1,x\n"), segment=2)
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
-    def test_rejects_non_finite_samples(self, tmp_path, bad):
-        path = tmp_path / "sensors.csv"
-        path.write_text(f"a,b\n1,2\n3,{bad}\n5,6\n")
+    def test_rejects_non_finite_samples(self, bad):
         with pytest.raises(StreamFormatError, match="line 3: non-finite"):
-            read_sensor_csv(path, segment=2)
+            xcorr_stream(io.StringIO(f"a,b\n1,2\n3,{bad}\n5,6\n"), segment=2)
 
     def test_series_validation(self):
         with pytest.raises(ValueError):
-            MultichannelSeries(names=("a",), values=np.zeros((4, 1)), segment=2)
-        with pytest.raises(ValueError):
-            MultichannelSeries(names=("a", "b"), values=np.zeros((4, 2)), segment=1)
-        with pytest.raises(ValueError):
-            MultichannelSeries(names=("a", "b"), values=np.zeros((4, 3)), segment=2)
+            xcorr_stream(sensor_csv(np.zeros((4, 1))), segment=2)
+        with pytest.raises(ValueError, match="segment length must be at least 2"):
+            xcorr_stream(sensor_csv(np.zeros((4, 2))), segment=1)
 
 
 class TestXcorrStream:
-    def series(self, values, segment):
-        values = np.asarray(values, dtype=float)
-        names = tuple(f"ch{i}" for i in range(values.shape[1]))
-        return MultichannelSeries(names=names, values=values, segment=segment)
-
     def test_identical_channels_correlate_to_one(self):
         x = np.linspace(0.0, 1.0, 8)
-        snaps = xcorr_stream(self.series(np.column_stack([x, x]), segment=8))
+        snaps = xcorr_stream(sensor_csv(np.column_stack([x, x])), segment=8)
         assert len(snaps) == 1
         np.testing.assert_allclose(snaps[0].weights, np.ones((2, 2)), atol=1e-12)
 
     def test_negated_channels_correlate_to_minus_one(self):
         x = np.array([0.0, 1.0, 0.5, 2.0])
-        snaps = xcorr_stream(self.series(np.column_stack([x, -x]), segment=4))
+        snaps = xcorr_stream(sensor_csv(np.column_stack([x, -x])), segment=4)
         np.testing.assert_allclose(
             snaps[0].weights, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-12
         )
@@ -836,17 +825,32 @@ class TestXcorrStream:
         x = np.array([0.0, 1.0, 2.0, 3.0])
         flat = np.ones(4)
         with pytest.warns(UserWarning, match="zero-variance"):
-            snaps = xcorr_stream(self.series(np.column_stack([x, flat]), segment=4))
+            snaps = xcorr_stream(sensor_csv(np.column_stack([x, flat])), segment=4)
         np.testing.assert_array_equal(snaps[0].weights, [[1.0, 0.0], [0.0, 0.0]])
 
     def test_segmentation_drops_the_tail(self):
         rng = np.random.default_rng(0)
-        snaps = xcorr_stream(self.series(rng.standard_normal((23, 3)), segment=5))
+        snaps = xcorr_stream(sensor_csv(rng.standard_normal((23, 3))), segment=5)
         assert [s.t for s in snaps] == [1, 2, 3, 4]
+
+    def test_segment_is_a_whole_number(self):
+        """An integral float runs as its int; a fraction or a bool is
+        refused by name, after the file is read."""
+        values = np.random.default_rng(4).standard_normal((9, 3))
+        snaps = xcorr_stream(sensor_csv(values), segment=4.0)
+        want = xcorr_stream(sensor_csv(values), segment=4)
+        assert [s.t for s in snaps] == [s.t for s in want] == [1, 2]
+        for a, b in zip(snaps, want):
+            assert np.array_equal(a.weights, b.weights)
+        for bad in (2.5, True):
+            with pytest.raises(ValueError, match=f"segment must be an integer, got {bad!r}"):
+                xcorr_stream(sensor_csv(values), segment=bad)
+        with pytest.raises(StreamFormatError, match="line 2: non-numeric value"):
+            xcorr_stream(io.StringIO("a,b\n1,x\n"), segment=2.5)
 
     def test_output_is_bit_symmetric_with_unit_diagonal(self):
         rng = np.random.default_rng(1)
-        snaps = xcorr_stream(self.series(rng.standard_normal((40, 4)), segment=10))
+        snaps = xcorr_stream(sensor_csv(rng.standard_normal((40, 4))), segment=10)
         for s in snaps:
             assert np.array_equal(s.weights, s.weights.T)
             np.testing.assert_array_equal(np.diag(s.weights), np.ones(4))
@@ -856,7 +860,7 @@ class TestXcorrStream:
         off-diagonal correlations below 0.2 in nearly every entry (the
         standard error is about 0.045)."""
         rng = np.random.default_rng(2)
-        snaps = xcorr_stream(self.series(rng.standard_normal((20000, 6)), segment=500))
+        snaps = xcorr_stream(sensor_csv(rng.standard_normal((20000, 6))), segment=500)
         off = []
         for s in snaps:
             iu = np.triu_indices(6, k=1)
@@ -869,7 +873,7 @@ class TestXcorrStream:
         segment 1 would be written as 0.0 although it is -1."""
         values = [[1e200, 1.0], [-1e200, 2.0], [3e200, 0.0], [0.0, 5.0]]
         with pytest.raises(StreamFormatError, match="segment 1: samples too large to correlate"):
-            xcorr_stream(self.series(values, segment=2))
+            xcorr_stream(sensor_csv(values), segment=2)
         path = tmp_path / "big.csv"
         path.write_text("a,b\n1e200,1\n-1e200,2\n3e200,0\n0,5\n")
         err = io.StringIO()
@@ -880,7 +884,7 @@ class TestXcorrStream:
 
     def test_round_trips_through_the_stream_format(self, tmp_path):
         rng = np.random.default_rng(3)
-        snaps = xcorr_stream(self.series(rng.standard_normal((12, 3)), segment=4))
+        snaps = xcorr_stream(sensor_csv(rng.standard_normal((12, 3))), segment=4)
         path = tmp_path / "xcorr.ndjson"
         write_stream(snaps, path)
         back = read_stream(path)

@@ -1094,6 +1094,26 @@ class TestEqualizerMc:
             verify_equalizer_mc(10, 2, 30, 0.5, 0.5, replications=0)
 
 
+    @pytest.mark.parametrize(
+        "sigma, delta", [(0.0, 0.5), (0.5, 0.0), (0.5, 0.5)], ids=["sigma0", "delta0", "monte-carlo"]
+    )
+    @pytest.mark.parametrize("count", ["n", "m", "w", "replications"])
+    @pytest.mark.parametrize("value", [2.5, True], ids=["fraction", "bool"])
+    def test_counts_are_integers_on_every_path(self, sigma, delta, count, value):
+        """The sigma = 0 and delta = 0 returns used to skip every integer
+        check: m = 2.5 gave a drift built from 2.5, and replications = True
+        returned 1.0."""
+        args = dict(n=10, m=2, w=3, sigma=sigma, delta=delta, replications=5)
+        args[count] = value
+        with pytest.raises(ValueError, match=re.escape(f"{count} must be an integer, got {value!r}")):
+            verify_equalizer_mc(**args)
+
+    @pytest.mark.parametrize("sigma, delta", [(0.0, 0.5), (0.5, 0.0), (0.5, 0.5)])
+    def test_integral_float_counts_run_as_their_ints(self, sigma, delta):
+        got = verify_equalizer_mc(10.0, 2.0, 3.0, sigma, delta, 5.0, master_seed=1)
+        assert got == verify_equalizer_mc(10, 2, 3, sigma, delta, 5, master_seed=1)
+
+
 class TestWorkerCount:
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_is_refused_before_any_replication(self, workers):
